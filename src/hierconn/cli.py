@@ -13,12 +13,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .config import RunConfig, parse_config
+from .config import CONFIG_KEYS, OUT_ROOT_ENV, RunConfig, parse_config
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -33,14 +34,13 @@ from .gradcheck import run_gradcheck
 from .interpret import (
     aggregate_assignments,
     atlas_overlap,
+    cohort_traces,
     export_report,
     rank_subgraphs,
     select_cohort,
 )
 from .model import init_params
 from .train import fit
-
-OUT_ROOT_ENV = "HIERCONN_OUT_ROOT"
 
 
 class _UsageError(Exception):
@@ -52,43 +52,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_data_flags(p):
-    p.add_argument("--data", help="dataset manifest (JSON)")
-    p.add_argument("--synth", help="synthetic-dataset spec file (JSON)")
-
-
 def _add_run_flags(p):
     p.add_argument("--config", help="run config file (JSON)")
-    p.add_argument("--out", help="run directory (default: under $%s)" % OUT_ROOT_ENV)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threads", type=int, help="worker cap; 1 guarantees determinism")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-min", type=float, dest="lr_min")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--patience", type=int, help="early-stop patience; 0 disables")
-    p.add_argument("--early-stop-metric", choices=("auc", "acc"), dest="early_stop_metric")
-    p.add_argument("--adam-beta1", type=float, dest="adam_beta1")
-    p.add_argument("--adam-beta2", type=float, dest="adam_beta2")
-    p.add_argument("--adam-eps", type=float, dest="adam_eps")
-    p.add_argument("--grad-clip-norm", type=float, dest="grad_clip_norm")
-    p.add_argument("--no-mixup", action="store_true")
-    p.add_argument("--mixup-alpha", type=float, dest="mixup_alpha")
-    p.add_argument("--d", type=int, help="token width")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--k", type=int, help="subgraph token count")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--ffn-mult", type=int, dest="ffn_mult")
-    p.add_argument("--class-count", type=int, dest="class_count")
-    p.add_argument("--alpha", type=float, help="orthogonality weight")
-    p.add_argument("--tau", type=float, help="distillation temperature")
-    p.add_argument("--beta-max", type=float, dest="beta_max")
-    p.add_argument("--beta-center-fraction", type=float, dest="beta_center_fraction")
-    p.add_argument("--beta-slope", type=float, dest="beta_slope")
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--folds", type=int)
+    for key in CONFIG_KEYS.values():
+        if key.flag is None:
+            continue
+        help_text = key.spec.metadata.get("help")
+        if key.type is bool:  # a bare switch that flips the default
+            p.add_argument(key.flag, dest=key.path, action="store_true", help=help_text)
+            continue
+        choices = key.spec.metadata.get("choices")
+        p.add_argument(
+            key.flag, dest=key.path, help=help_text, choices=choices,
+            type=None if key.type is str else key.type,
+            metavar=None if choices else key.flag[2:].replace("-", "_").upper(),
+        )
 
 
 def build_parser() -> _Parser:
@@ -96,11 +74,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train one model with a validation holdout")
-    _add_data_flags(p)
     _add_run_flags(p)
 
     p = sub.add_parser("evaluate", help="full stratified cross-validation")
-    _add_data_flags(p)
     _add_run_flags(p)
 
     p = sub.add_parser("interpret", help="sub-network assignments from a checkpoint")
@@ -122,31 +98,13 @@ def build_parser() -> _Parser:
 
 
 def _overrides_from_args(args) -> dict:
-    mapping = {
-        "seed": "seed", "threads": "threads", "out": "out",
-        "data": "data", "synth": "synth",
-        "val_fraction": "val_fraction", "folds": "folds",
-        "epochs": "train.epochs", "batch_size": "train.batch_size",
-        "lr": "train.lr", "lr_min": "train.lr_min",
-        "weight_decay": "train.weight_decay", "patience": "train.early_stop_patience",
-        "early_stop_metric": "train.early_stop_metric",
-        "adam_beta1": "train.adam_beta1", "adam_beta2": "train.adam_beta2",
-        "adam_eps": "train.adam_eps", "grad_clip_norm": "train.grad_clip_norm",
-        "mixup_alpha": "train.mixup_alpha",
-        "d": "model.d", "heads": "model.heads", "layers": "model.layers",
-        "k": "model.k", "dropout": "model.dropout",
-        "ffn_mult": "model.ffn_mult", "class_count": "model.class_count",
-        "alpha": "loss.alpha", "tau": "loss.tau", "beta_max": "loss.beta_max",
-        "beta_center_fraction": "loss.beta_center_fraction",
-        "beta_slope": "loss.beta_slope",
-    }
     overrides = {}
-    for attr, dotted in mapping.items():
-        value = getattr(args, attr, None)
+    for key in CONFIG_KEYS.values():
+        value = getattr(args, key.path, None)
+        if key.type is bool:
+            value = (not key.default) if value else None
         if value is not None:
-            overrides[dotted] = value
-    if getattr(args, "no_mixup", False):
-        overrides["train.mixup_enabled"] = False
+            overrides[key.path] = value
     return overrides
 
 
@@ -172,16 +130,11 @@ def _load_synth_spec(path: str, seed_override: int | None = None) -> SyntheticSp
     if seed_override is not None:
         doc["seed"] = seed_override
     try:
+        # absent optional fields keep the dataclass defaults; unknown keys are ignored
         return SyntheticSpec(
-            n=doc["n"],
-            subject_count=doc["subject_count"],
-            planted_subgraphs=tuple(tuple(s) for s in doc["planted_subgraphs"]),
-            signal_strength=doc["signal_strength"],
-            noise_level=doc["noise_level"],
-            seed=doc["seed"],
-            atlas_blocks=doc.get("atlas_blocks", 4),
+            **{f.name: doc[f.name] for f in fields(SyntheticSpec) if f.name in doc}
         )
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"{path}: missing or malformed field: {exc}") from exc
 
 
@@ -256,8 +209,9 @@ def _cmd_interpret(args) -> int:
     ds = load_dataset(args.data)
     run_dir = _resolve_run_dir(args.out, "interpret")
     cohort = select_cohort(ds, include_controls=args.include_controls)
-    assign = aggregate_assignments(params, model_config, cohort)
-    importance = rank_subgraphs(params, model_config, cohort)
+    traces = cohort_traces(params, model_config, cohort)
+    assign = aggregate_assignments(traces)
+    importance = rank_subgraphs(traces)
     overlap = atlas_overlap(assign, ds.atlas_labels) if ds.atlas_labels else None
     export_report(assign, overlap, importance, run_dir, atlas_labels=ds.atlas_labels)
     summary = {

@@ -1,6 +1,16 @@
 """Unified run configuration: one JSON document (same text format as the
 dataset manifest) merged with command-line overrides.
 
+The dataclass fields define every key: those of ``ModelConfig``,
+``TrainConfig`` and ``LossWeights`` the ``model``, ``train`` and ``loss``
+sections, those of ``RunConfig`` the top-level keys. Each field holds the
+key's default, its type and the help text of its command-line flag. The CLI
+makes one flag per field, named after the field unless its metadata names
+another (``--patience``, ``--no-mixup``); metadata may also list the accepted
+choices. Two rules cover the rest: a field without a default (``model.n``,
+taken from the dataset) defaults to None and has no flag, and a section field
+named like a top-level key (``train.seed``) is set at the top level only.
+
 Defaults are the reference training recipe: lr 1e-4 with weight decay 1e-4
 annealed to 1e-5, 200 epochs at batch 64, K=8 subgraph tokens, d=384 with 8
 heads over 2 layers, alpha=1.3, tau=2.0, and the sigmoid-scheduled
@@ -11,60 +21,16 @@ Unknown keys are rejected so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import InvalidValue, ParseError, UnknownKey
 from .losses import LossWeights
 from .model import ModelConfig
 from .train import TrainConfig
 
-MODEL_DEFAULTS = {
-    "n": None,  # taken from the dataset unless pinned here
-    "d": 384,
-    "heads": 8,
-    "layers": 2,
-    "k": 8,
-    "dropout": 0.1,
-    "class_count": 2,
-    "ffn_mult": 4,
-}
-
-TRAIN_DEFAULTS = {
-    "epochs": 200,
-    "batch_size": 64,
-    "lr": 1e-4,
-    "weight_decay": 1e-4,
-    "lr_min": 1e-5,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
-    "early_stop_patience": 30,
-    "early_stop_metric": "auc",
-    "grad_clip_norm": None,
-    "mixup_enabled": True,
-    "mixup_alpha": 1.0,
-}
-
-LOSS_DEFAULTS = {
-    "alpha": 1.3,
-    "beta_max": 0.2,
-    "beta_center_fraction": 0.25,
-    "beta_slope": 0.001,
-    "tau": 2.0,
-}
-
-TOP_LEVEL_DEFAULTS = {
-    "seed": 0,
-    "data": None,
-    "synth": None,
-    "out": None,
-    "threads": 1,
-    "folds": 5,
-    "val_fraction": 0.25,
-}
-
-_SECTIONS = {"model": MODEL_DEFAULTS, "train": TRAIN_DEFAULTS, "loss": LOSS_DEFAULTS}
+OUT_ROOT_ENV = "HIERCONN_OUT_ROOT"
 
 
 @dataclass
@@ -72,21 +38,23 @@ class RunConfig:
     model: dict
     train: dict
     loss: dict
-    seed: int
-    data: str | None
-    synth: str | None
-    out: str | None
-    threads: int
-    folds: int
-    val_fraction: float
+    data: str | None = field(default=None, metadata={"help": "dataset manifest (JSON)"})
+    synth: str | None = field(default=None, metadata={"help": "synthetic-dataset spec (JSON)"})
+    out: str | None = field(
+        default=None, metadata={"help": f"run directory (default: under ${OUT_ROOT_ENV})"}
+    )
+    seed: int = field(default=0, metadata={"help": "master seed"})
+    threads: int = field(default=1, metadata={"help": "worker cap; 1 guarantees determinism"})
+    folds: int = field(default=5, metadata={"help": "cross-validation folds"})
+    val_fraction: float = field(default=0.25, metadata={"help": "held-out validation share"})
 
     def model_config(self, n_from_data: int) -> ModelConfig:
-        fields = dict(self.model)
-        pinned = fields.pop("n")
+        values = dict(self.model)
+        pinned = values.pop("n")
         if pinned is not None and pinned != n_from_data:
             raise InvalidValue("model.n", f"config pins n={pinned}, dataset has n={n_from_data}")
         try:
-            return ModelConfig(n=n_from_data, **fields)
+            return ModelConfig(n=n_from_data, **values)
         except ValueError as exc:
             raise InvalidValue("model", str(exc)) from exc
 
@@ -103,18 +71,45 @@ class RunConfig:
             raise InvalidValue("loss", str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "model": dict(self.model),
-            "train": dict(self.train),
-            "loss": dict(self.loss),
-            "seed": self.seed,
-            "data": self.data,
-            "synth": self.synth,
-            "out": self.out,
-            "threads": self.threads,
-            "folds": self.folds,
-            "val_fraction": self.val_fraction,
-        }
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One settable key, read off its dataclass field."""
+
+    path: str  # "train.lr" in a section, "seed" at the top level
+    spec: Field
+    type: type  # the field's annotation, None stripped from an optional one
+
+    @property
+    def default(self):
+        return None if self.spec.default is MISSING else self.spec.default
+
+    @property
+    def flag(self) -> str | None:
+        """The field name as a flag, unless the metadata names another one."""
+        if self.spec.default is MISSING:
+            return None
+        return self.spec.metadata.get("flag", "--" + self.spec.name.replace("_", "-"))
+
+
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights}
+
+
+def _keys(cls, section: str | None = None, skip=()):
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in skip:
+            kinds = [t for t in get_args(hints[f.name]) if t is not type(None)] or [hints[f.name]]
+            yield ConfigKey(f"{section}.{f.name}" if section else f.name, f, kinds[0])
+
+
+_TOP_LEVEL = {key.path: key for key in _keys(RunConfig, skip=SECTIONS)}
+CONFIG_KEYS = {  # every key by dotted path, top-level keys first
+    **_TOP_LEVEL,
+    **{key.path: key for name, cls in SECTIONS.items() for key in _keys(cls, name, _TOP_LEVEL)},
+}
 
 
 def _check_type(path: str, value, default):
@@ -134,33 +129,40 @@ def _check_type(path: str, value, default):
     return value
 
 
+def _set(effective: dict, path: str, value) -> None:
+    if path not in CONFIG_KEYS:
+        raise UnknownKey(path)
+    key = CONFIG_KEYS[path]
+    value = _check_type(path, value, key.default)
+    section, _, name = path.rpartition(".")
+    if section:
+        effective[section][name] = value
+    elif value is not None and key.type in (int, float):
+        effective[name] = key.type(value)  # top-level numbers take their field's type
+    else:
+        effective[name] = value
+
+
 def _merge_document(effective: dict, doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ParseError("config document must be a JSON object")
     for key, value in doc.items():
-        if key in _SECTIONS:
+        if key in SECTIONS:
             if not isinstance(value, dict):
                 raise InvalidValue(key, "expected an object")
             for sub_key, sub_value in value.items():
-                if sub_key not in _SECTIONS[key]:
-                    raise UnknownKey(f"{key}.{sub_key}")
-                effective[key][sub_key] = _check_type(
-                    f"{key}.{sub_key}", sub_value, _SECTIONS[key][sub_key]
-                )
-        elif key in TOP_LEVEL_DEFAULTS:
-            effective[key] = _check_type(key, value, TOP_LEVEL_DEFAULTS[key])
-        else:
+                _set(effective, f"{key}.{sub_key}", sub_value)
+        elif "." in key:  # dotted paths name section keys in overrides only
             raise UnknownKey(key)
+        else:
+            _set(effective, key, value)
 
 
 def parse_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults <- config file <- flag overrides (dotted keys), in that order."""
-    effective: dict = {
-        "model": dict(MODEL_DEFAULTS),
-        "train": dict(TRAIN_DEFAULTS),
-        "loss": dict(LOSS_DEFAULTS),
-        **TOP_LEVEL_DEFAULTS,
-    }
+    effective: dict = {section: {} for section in SECTIONS}
+    for key in CONFIG_KEYS.values():
+        _set(effective, key.path, key.default)
     if path is not None:
         path = Path(path)
         if not path.exists():
@@ -173,28 +175,6 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
                 raise ParseError(f"{path}: {exc}") from exc
             _merge_document(effective, doc)
     for dotted, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if "." in dotted:
-            section, sub_key = dotted.split(".", 1)
-            if section not in _SECTIONS or sub_key not in _SECTIONS[section]:
-                raise UnknownKey(dotted)
-            effective[section][sub_key] = _check_type(
-                dotted, value, _SECTIONS[section][sub_key]
-            )
-        else:
-            if dotted not in TOP_LEVEL_DEFAULTS:
-                raise UnknownKey(dotted)
-            effective[dotted] = _check_type(dotted, value, TOP_LEVEL_DEFAULTS[dotted])
-    return RunConfig(
-        model=effective["model"],
-        train=effective["train"],
-        loss=effective["loss"],
-        seed=int(effective["seed"]),
-        data=effective["data"],
-        synth=effective["synth"],
-        out=effective["out"],
-        threads=int(effective["threads"]),
-        folds=int(effective["folds"]),
-        val_fraction=float(effective["val_fraction"]),
-    )
+        if value is not None:
+            _set(effective, dotted, value)
+    return RunConfig(**effective)

@@ -7,7 +7,7 @@ aggregates per-fold metrics as mean and population standard deviation.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -41,16 +41,7 @@ class CvReport:
     fold_reports: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "folds": [m.to_dict() for m in self.folds],
-            "mean": self.mean,
-            "std": self.std,
-            "std_kind": "population",
-            "seed": self.seed,
-            "config": self.config,
-            "predictions": self.predictions,
-            "fold_reports": self.fold_reports,
-        }
+        return {**asdict(self), "std_kind": "population"}
 
 
 def format_metric_table(report: CvReport) -> str:
@@ -89,9 +80,7 @@ def run_cv(
 
     def run_fold(split: FoldSplit) -> tuple[MetricSet, list[dict], TrainReport]:
         config, params = model_factory(split.fold_index)
-        fold_cfg = TrainConfig(
-            **{**train_cfg.to_dict(), "seed": train_cfg.seed + split.fold_index}
-        )
+        fold_cfg = replace(train_cfg, seed=train_cfg.seed + split.fold_index)
         fold_dir = out_dir / f"fold_{split.fold_index}" if out_dir else None
         report = fit(
             ds.subset(split.train_ids),

@@ -2,7 +2,8 @@
 
 Aggregates the final block's node-to-subgraph attention over a cohort into
 soft/hard node assignments, maps them onto reference atlas labels, and ranks
-subgraph tokens by their share of the graph token's attention.
+subgraph tokens by their share of the graph token's attention. One forward
+pass over the cohort (``cohort_traces``) feeds every one of these readings.
 """
 
 from __future__ import annotations
@@ -59,10 +60,19 @@ def select_cohort(
     return records
 
 
-def _cohort_traces(
+@dataclass(frozen=True)
+class CohortTraces:
+    """What interpretation reads off one eval-mode forward over a cohort."""
+
+    pool_attention: np.ndarray  # (B, K, n) final-block pool attention
+    graph_attention: np.ndarray  # (B, K+1) graph attention, self-weight first
+    subgraph_tokens: np.ndarray  # (B, K, d) final subgraph tokens
+
+
+def cohort_traces(
     params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B, K, n) final-block pool attention and (B, K+1) graph attention."""
+) -> CohortTraces:
+    """Run the cohort through the model once; every reading below uses this."""
     if not records:
         raise EmptyDataset("no subjects to interpret")
     n = records[0].matrix.n
@@ -71,15 +81,16 @@ def _cohort_traces(
     matrices = np.stack([rec.matrix.values for rec in records])
     with no_grad():
         out = forward_batch(matrices, params, config, mode="eval")
-    return out.trace.node_to_subgraph[-1], out.trace.subgraph_to_graph
+    return CohortTraces(
+        pool_attention=out.trace.node_to_subgraph[-1],
+        graph_attention=out.trace.subgraph_to_graph,
+        subgraph_tokens=out.subgraph_tokens.data,
+    )
 
 
-def aggregate_assignments(
-    params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
-) -> SubnetworkAssignment:
+def aggregate_assignments(traces: CohortTraces) -> SubnetworkAssignment:
     """Average the final-block attention over the cohort, row-renormalized."""
-    pool_traces, _ = _cohort_traces(params, config, records)
-    soft = pool_traces.mean(axis=0)
+    soft = traces.pool_attention.mean(axis=0)
     soft = soft / soft.sum(axis=-1, keepdims=True)
     hard = np.argmax(soft, axis=0)
     masks = tuple(
@@ -113,12 +124,9 @@ def atlas_overlap(assign: SubnetworkAssignment, atlas_labels) -> AtlasOverlapTab
     return AtlasOverlapTable(labels=columns, proportions=table)
 
 
-def rank_subgraphs(
-    params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
-) -> SubgraphImportance:
+def rank_subgraphs(traces: CohortTraces) -> SubgraphImportance:
     """Cohort-mean graph attention per subgraph, self-weight dropped."""
-    _, graph_traces = _cohort_traces(params, config, records)
-    mean_attention = graph_traces.mean(axis=0)
+    mean_attention = traces.graph_attention.mean(axis=0)
     weights = mean_attention[1:]  # index 0 is the graph token itself
     weights = weights / weights.sum()
     ranking = tuple(int(i) for i in np.argsort(-weights, kind="stable"))
@@ -133,16 +141,9 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(a | b)
 
 
-def mean_token_cosine(
-    params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
-) -> float:
+def mean_token_cosine(traces: CohortTraces) -> float:
     """Cohort mean of pairwise cosine similarity between final subgraph tokens."""
-    if not records:
-        raise EmptyDataset("no subjects")
-    matrices = np.stack([rec.matrix.values for rec in records])
-    with no_grad():
-        out = forward_batch(matrices, params, config, mode="eval")
-    tokens = out.subgraph_tokens.data  # (B, K, d)
+    tokens = traces.subgraph_tokens
     unit = tokens / np.linalg.norm(tokens, axis=-1, keepdims=True)
     gram = unit @ unit.swapaxes(-1, -2)
     k = gram.shape[-1]

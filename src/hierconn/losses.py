@@ -4,7 +4,7 @@ schedules the consistency weight."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -15,11 +15,13 @@ from .model import ForwardOutput
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha: float = 1.3
-    beta_max: float = 0.2
-    beta_center_fraction: float = 0.25
-    beta_slope: float = 0.001
-    tau: float = 2.0
+    alpha: float = field(default=1.3, metadata={"help": "orthogonality weight"})
+    beta_max: float = field(default=0.2, metadata={"help": "peak consistency weight"})
+    beta_center_fraction: float = field(
+        default=0.25, metadata={"help": "share of the steps at the consistency ramp's midpoint"}
+    )
+    beta_slope: float = field(default=0.001, metadata={"help": "slope of the consistency ramp"})
+    tau: float = field(default=2.0, metadata={"help": "distillation temperature"})
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta_max < 0:
@@ -28,11 +30,7 @@ class LossWeights:
             raise ValueError("tau must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta_max": self.beta_max,
-            "beta_center_fraction": self.beta_center_fraction,
-            "beta_slope": self.beta_slope, "tau": self.tau,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Mann-Whitney statistic with ties counted 0.5, computed via average ranks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class MetricSet:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {"acc": self.acc, "auc": self.auc, "sen": self.sen, "spe": self.spe}
+        return asdict(self)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ tokens; an auxiliary head reads mean-pooled node tokens alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,14 +27,14 @@ FFN_PARAM_KEYS = ("w1", "b1", "w2", "b2", "ln_g", "ln_b")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n: int
-    d: int = 384
-    heads: int = 8
-    layers: int = 2
-    k: int = 8
-    dropout: float = 0.1
-    class_count: int = 2
-    ffn_mult: int = 4
+    n: int  # no default: taken from the dataset, so no flag sets it
+    d: int = field(default=384, metadata={"help": "token width"})
+    heads: int = field(default=8, metadata={"help": "attention heads per stage"})
+    layers: int = field(default=2, metadata={"help": "stacked node-attention/pooling blocks"})
+    k: int = field(default=8, metadata={"help": "subgraph token count"})
+    dropout: float = field(default=0.1, metadata={"help": "dropout rate"})
+    class_count: int = field(default=2, metadata={"help": "number of classes"})
+    ffn_mult: int = field(default=4, metadata={"help": "feed-forward width as a multiple of d"})
 
     def __post_init__(self):
         if self.n < 1:
@@ -53,11 +53,7 @@ class ModelConfig:
         return self.d // self.heads
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "d": self.d, "heads": self.heads, "layers": self.layers,
-            "k": self.k, "dropout": self.dropout, "class_count": self.class_count,
-            "ffn_mult": self.ffn_mult,
-        }
+        return asdict(self)
 
 
 class ModelParams:
@@ -375,16 +371,10 @@ def forward(
     if values.ndim != 2:
         raise ShapeMismatch(f"expected an (n, n) matrix, got {values.shape}")
     out = forward_batch(values[None], params, config, mode=mode, rng=rng, trace_heads=trace_heads)
-    trace = AttentionTrace(
-        node_to_subgraph=[a[0] for a in out.trace.node_to_subgraph],
-        subgraph_to_graph=out.trace.subgraph_to_graph[0],
-        node_to_subgraph_heads=(
-            [a[0] for a in out.trace.node_to_subgraph_heads] if trace_heads else None
-        ),
-        subgraph_to_graph_heads=(
-            out.trace.subgraph_to_graph_heads[0] if trace_heads else None
-        ),
-    )
+    trace = AttentionTrace(**{
+        name: None if v is None else [a[0] for a in v] if isinstance(v, list) else v[0]
+        for name, v in vars(out.trace).items()
+    })
     return ForwardOutput(
         z_g=out.z_g.reshape(config.class_count),
         z_n=out.z_n.reshape(config.class_count),

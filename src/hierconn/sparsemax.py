@@ -2,9 +2,9 @@
 
 Forward is the classic sort-and-threshold construction; backward applies the
 analytic Jacobian of the projection, which on the support S is
-``J_ij = delta_ij - 1/|S|`` and zero elsewhere. Both come in a single-vector
-form (the public contract) and a vectorized last-axis form used by the
-attention stages.
+``J_ij = delta_ij - 1/|S|`` and zero elsewhere. Both are implemented once,
+over the last axis (the form the attention stages use); the single-vector
+forms of the public contract wrap them.
 """
 
 from __future__ import annotations
@@ -49,14 +49,9 @@ def sparsemax_forward(z: np.ndarray) -> SimplexProjection:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ShapeMismatch(f"expected a 1-d vector, got shape {z.shape}")
-    if z.size == 0:
-        raise EmptyVector("cannot project an empty vector")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteInput("sparsemax input contains NaN or infinity")
-    tau = float(_threshold_lastaxis(z)[0])
-    p = np.maximum(z - tau, 0.0)
-    support = tuple(int(i) for i in np.nonzero(p > 0.0)[0])
-    return SimplexProjection(probabilities=p, support=support, threshold=tau)
+    p = sparsemax_rows(z)
+    support = tuple(int(i) for i in np.flatnonzero(p))
+    return SimplexProjection(p, support, float(_threshold_lastaxis(z)[0]))
 
 
 def sparsemax_backward(proj: SimplexProjection, upstream: np.ndarray) -> np.ndarray:
@@ -70,12 +65,7 @@ def sparsemax_backward(proj: SimplexProjection, upstream: np.ndarray) -> np.ndar
             f"upstream shape {upstream.shape} != projection shape "
             f"{proj.probabilities.shape}"
         )
-    mask = proj.probabilities > 0.0
-    grad = np.zeros_like(upstream)
-    count = mask.sum()
-    if count:
-        grad[mask] = upstream[mask] - upstream[mask].sum() / count
-    return grad
+    return sparsemax_rows_backward(proj.probabilities, upstream)
 
 
 def sparsemax_rows(scores: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ metric, and bit-reproducible checkpoints."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,27 +13,37 @@ import numpy as np
 from .autodiff import no_grad
 from .checkpoint import save_checkpoint
 from .data import SubjectRecord, mixup
-from .errors import EmptyDataset, NonFiniteActivation, NonFiniteGradient, ShapeMismatch
+from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch
 from .losses import LossWeights, total_loss_graph
 from .metrics import compute_metrics
 from .model import ModelConfig, ModelParams, forward_batch
 
 
+EARLY_STOP_METRICS = ("auc", "acc")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 64
-    lr: float = 1e-4
-    weight_decay: float = 1e-4
-    lr_min: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    early_stop_patience: int = 30  # 0 disables early stopping
-    early_stop_metric: str = "auc"
-    grad_clip_norm: float | None = None
-    mixup_enabled: bool = True
-    mixup_alpha: float = 1.0  # Beta(a, a); 1.0 is a uniform lambda
+    epochs: int = field(default=200, metadata={"help": "training epochs"})
+    batch_size: int = field(default=64, metadata={"help": "subjects per optimizer step"})
+    lr: float = field(default=1e-4, metadata={"help": "initial learning rate"})
+    weight_decay: float = field(default=1e-4, metadata={"help": "decoupled weight decay"})
+    lr_min: float = field(default=1e-5, metadata={"help": "final cosine-annealed learning rate"})
+    adam_beta1: float = field(default=0.9, metadata={"help": "first-moment decay"})
+    adam_beta2: float = field(default=0.999, metadata={"help": "second-moment decay"})
+    adam_eps: float = field(default=1e-8, metadata={"help": "optimizer epsilon"})
+    early_stop_patience: int = field(
+        default=30, metadata={"help": "early-stop patience; 0 disables", "flag": "--patience"}
+    )
+    early_stop_metric: str = field(
+        default="auc",
+        metadata={"help": "validation metric for early stopping", "choices": EARLY_STOP_METRICS},
+    )
+    grad_clip_norm: float | None = field(default=None, metadata={"help": "gradient-norm cap"})
+    mixup_enabled: bool = field(
+        default=True, metadata={"help": "train without mixup", "flag": "--no-mixup"}
+    )
+    mixup_alpha: float = field(default=1.0, metadata={"help": "mixup Beta(a, a); 1.0 is uniform"})
     seed: int = 0
 
     def __post_init__(self):
@@ -43,21 +53,11 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.early_stop_metric not in ("auc", "acc"):
+        if self.early_stop_metric not in EARLY_STOP_METRICS:
             raise ValueError("early_stop_metric must be 'auc' or 'acc'")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size, "lr": self.lr,
-            "weight_decay": self.weight_decay, "lr_min": self.lr_min,
-            "adam_beta1": self.adam_beta1, "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "early_stop_patience": self.early_stop_patience,
-            "early_stop_metric": self.early_stop_metric,
-            "grad_clip_norm": self.grad_clip_norm,
-            "mixup_enabled": self.mixup_enabled, "mixup_alpha": self.mixup_alpha,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class OptimizerState:
@@ -80,15 +80,7 @@ class TrainReport:
     checkpoint_path: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "best_val_metric": self.best_val_metric,
-            "epochs_run": self.epochs_run,
-            "total_steps": self.total_steps,
-            "skipped_batches": self.skipped_batches,
-            "history": self.history,
-            "checkpoint_path": self.checkpoint_path,
-        }
+        return asdict(self)
 
 
 def cosine_lr(step: int, total_steps: int, lr: float, lr_min: float) -> float:
@@ -245,8 +237,10 @@ def fit(
                 total.backward()
                 grads = collect_gradients(params)
                 optimizer_step(params, grads, state, lr_t, cfg)
-            except (NonFiniteActivation, NonFiniteGradient):
-                # numerical blowups skip the batch without killing the run
+            except NumericalError:
+                # any numerical blowup in the step (non-finite scores,
+                # activations or gradients, a zero-norm token) skips the
+                # batch without killing the run
                 skipped += 1
                 global_step += 1
                 continue

@@ -23,6 +23,7 @@ from hierconn.gradcheck import run_gradcheck
 from hierconn.interpret import (
     aggregate_assignments,
     atlas_overlap,
+    cohort_traces,
     jaccard,
     mean_token_cosine,
     rank_subgraphs,
@@ -256,8 +257,9 @@ def test_criterion_6_subnetwork_recovery(synthetic_run):
     cohort = select_cohort(ds, ids=synthetic_run.folds[0].test_ids)
     params = synthetic_run.fold0_params
     config = synthetic_run.config
-    assign = aggregate_assignments(params, config, cohort)
-    importance = rank_subgraphs(params, config, cohort)
+    traces = cohort_traces(params, config, cohort)
+    assign = aggregate_assignments(traces)
+    importance = rank_subgraphs(traces)
     overlap = atlas_overlap(assign, ds.atlas_labels)
 
     jaccards = {
@@ -285,7 +287,9 @@ def test_criterion_7_orthogonality_effect(synthetic_run):
     ds = synthetic_run.ds
     fold0 = synthetic_run.folds[0]
     cohort = select_cohort(ds, ids=fold0.test_ids, include_controls=True)
-    cos_with = mean_token_cosine(synthetic_run.fold0_params, synthetic_run.config, cohort)
+    cos_with = mean_token_cosine(
+        cohort_traces(synthetic_run.fold0_params, synthetic_run.config, cohort)
+    )
 
     params_no_oc = init_params(synthetic_run.config, SEED)
     fit(
@@ -293,7 +297,7 @@ def test_criterion_7_orthogonality_effect(synthetic_run):
         params_no_oc, synthetic_run.config, synthetic_run.train_cfg,
         LossWeights(alpha=0.0),
     )
-    cos_without = mean_token_cosine(params_no_oc, synthetic_run.config, cohort)
+    cos_without = mean_token_cosine(cohort_traces(params_no_oc, synthetic_run.config, cohort))
     ok = cos_with < 0.5 and cos_without > cos_with
     _report(
         7, ok,

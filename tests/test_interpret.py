@@ -9,6 +9,7 @@ from hierconn.interpret import (
     SubnetworkAssignment,
     aggregate_assignments,
     atlas_overlap,
+    cohort_traces,
     export_report,
     jaccard,
     mean_token_cosine,
@@ -34,7 +35,7 @@ class TestAggregateAssignments:
     def test_single_subject_equals_own_trace(self, setup):
         ds, config, params = setup
         rec = ds.subjects[0]
-        assign = aggregate_assignments(params, config, [rec])
+        assign = aggregate_assignments(cohort_traces(params, config, [rec]))
         out = forward(rec.matrix, params, config)
         expected = out.trace.node_to_subgraph[-1]
         expected = expected / expected.sum(axis=-1, keepdims=True)
@@ -43,7 +44,7 @@ class TestAggregateAssignments:
     def test_two_subject_average_matches_direct_oracle(self, setup):
         ds, config, params = setup
         recs = list(ds.subjects[:2])
-        assign = aggregate_assignments(params, config, recs)
+        assign = aggregate_assignments(cohort_traces(params, config, recs))
         t1 = forward(recs[0].matrix, params, config).trace.node_to_subgraph[-1]
         t2 = forward(recs[1].matrix, params, config).trace.node_to_subgraph[-1]
         avg = (t1 + t2) / 2.0
@@ -52,21 +53,21 @@ class TestAggregateAssignments:
 
     def test_rows_sum_to_one(self, setup):
         ds, config, params = setup
-        assign = aggregate_assignments(params, config, list(ds.subjects))
+        assign = aggregate_assignments(cohort_traces(params, config, list(ds.subjects)))
         np.testing.assert_allclose(assign.soft_assignment.sum(axis=-1), 1.0, atol=1e-6)
         assert assign.hard_assignment.shape == (12,)
         assert set(assign.hard_assignment) <= set(range(3))
 
     def test_hard_assignment_stable_across_reruns(self, setup):
         ds, config, params = setup
-        a = aggregate_assignments(params, config, list(ds.subjects))
-        b = aggregate_assignments(params, config, list(ds.subjects))
+        a = aggregate_assignments(cohort_traces(params, config, list(ds.subjects)))
+        b = aggregate_assignments(cohort_traces(params, config, list(ds.subjects)))
         np.testing.assert_array_equal(a.hard_assignment, b.hard_assignment)
         np.testing.assert_array_equal(a.soft_assignment, b.soft_assignment)
 
     def test_support_masks_respect_threshold(self, setup):
         ds, config, params = setup
-        assign = aggregate_assignments(params, config, list(ds.subjects))
+        assign = aggregate_assignments(cohort_traces(params, config, list(ds.subjects)))
         for k, mask in enumerate(assign.support_masks):
             member = np.zeros(12, bool)
             member[list(mask)] = True
@@ -112,14 +113,14 @@ class TestRankSubgraphs:
     def test_single_subject_matches_own_trace(self, setup):
         ds, config, params = setup
         rec = ds.subjects[0]
-        imp = rank_subgraphs(params, config, [rec])
+        imp = rank_subgraphs(cohort_traces(params, config, [rec]))
         trace = forward(rec.matrix, params, config).trace.subgraph_to_graph
         expected = trace[1:] / trace[1:].sum()
         np.testing.assert_allclose(imp.weights, expected, atol=1e-12)
 
     def test_weights_normalized_and_ranked(self, setup):
         ds, config, params = setup
-        imp = rank_subgraphs(params, config, list(ds.subjects))
+        imp = rank_subgraphs(cohort_traces(params, config, list(ds.subjects)))
         assert imp.weights.shape == (3,)
         assert imp.weights.sum() == pytest.approx(1.0, abs=1e-9)
         ordered = [imp.weights[i] for i in imp.ranking]
@@ -169,7 +170,7 @@ class TestJaccard:
 class TestMeanTokenCosine:
     def test_in_unit_range(self, setup):
         ds, config, params = setup
-        value = mean_token_cosine(params, config, list(ds.subjects))
+        value = mean_token_cosine(cohort_traces(params, config, list(ds.subjects)))
         assert -1.0 <= value <= 1.0
 
 
@@ -177,9 +178,10 @@ class TestExport:
     def test_roundtrip_and_shapes(self, setup, tmp_path):
         ds, config, params = setup
         cohort = select_cohort(ds)
-        assign = aggregate_assignments(params, config, cohort)
+        traces = cohort_traces(params, config, cohort)
+        assign = aggregate_assignments(traces)
         overlap = atlas_overlap(assign, ds.atlas_labels)
-        imp = rank_subgraphs(params, config, cohort)
+        imp = rank_subgraphs(traces)
         written = export_report(assign, overlap, imp, tmp_path, atlas_labels=ds.atlas_labels)
         names = {p.name for p in written}
         assert names == {
@@ -200,8 +202,9 @@ class TestExport:
     def test_deterministic_output(self, setup, tmp_path):
         ds, config, params = setup
         cohort = select_cohort(ds)
-        assign = aggregate_assignments(params, config, cohort)
-        imp = rank_subgraphs(params, config, cohort)
+        traces = cohort_traces(params, config, cohort)
+        assign = aggregate_assignments(traces)
+        imp = rank_subgraphs(traces)
         export_report(assign, None, imp, tmp_path / "a")
         export_report(assign, None, imp, tmp_path / "b")
         for name in ("soft_assignment.csv", "importance.csv", "subgraph_nodes.csv"):

@@ -6,7 +6,13 @@ import pytest
 from hierconn.autodiff import Tensor, no_grad
 from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, planted_edge_means, stratified_kfold
-from hierconn.errors import EmptyDataset, NonFiniteGradient
+from hierconn.errors import (
+    EmptyDataset,
+    NonFiniteActivation,
+    NonFiniteGradient,
+    NonFiniteInput,
+    ZeroNormToken,
+)
 from hierconn.losses import LossWeights, total_loss_graph
 from hierconn.model import ModelConfig, ModelParams, forward_batch, init_params
 from hierconn.train import (
@@ -207,12 +213,18 @@ class TestFit:
         with pytest.raises(EmptyDataset):
             fit([], ds.subset(split.val_ids), params, config, cfg, LossWeights())
 
-    def test_skipped_batches_counted(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error",
+        [NonFiniteGradient("injected"), NonFiniteActivation("injected"),
+         NonFiniteInput("injected"), ZeroNormToken(0)],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_skipped_batches_counted(self, monkeypatch, error):
         ds, split, config, params, cfg = tiny_setup(epochs=1)
         import hierconn.train as train_mod
 
         def bad_collect(_params):
-            raise NonFiniteGradient("injected")
+            raise error
 
         monkeypatch.setattr(train_mod, "collect_gradients", bad_collect)
         report = fit(
