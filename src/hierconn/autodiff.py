@@ -1,10 +1,26 @@
 """Small reverse-mode automatic differentiation engine on float64 numpy.
 
 Only what the token pipeline needs: broadcast arithmetic, batched matmul,
-reductions, reshapes, exp/log/sqrt, an exact-erf GELU, softmax-style
+reductions, reshapes, exp/log/sqrt, an exact-erf GELU, log-softmax-style
 composites, and a sparsemax op whose backward is the analytic simplex-
 projection Jacobian. Graphs are built eagerly; ``Tensor.backward`` runs an
 iterative topological sweep accumulating ``.grad`` arrays on the leaves.
+
+The model's hot paths are three fused ops, each one graph node whose
+backward is written in closed form instead of being chained through
+primitives:
+
+- ``linear(x, w, b)``: ``x @ w + b`` with the leading axes of ``x`` folded
+  into one GEMM; backward is ``g2 @ w^T``, ``x2^T @ g2`` and the row sum of
+  ``g2`` over the flattened ``(rows, features)`` views.
+- ``layer_norm(x, gain, bias, eps)``: with ``xhat = (x - mean) / std``,
+  ``dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / std`` where
+  ``gx = g * gain`` (Ba et al. 2016).
+- ``attention(q, k, v, activation, mask)``: ``P = act(q k^T / sqrt(d))``,
+  optional dropout ``mask``, then ``(P * mask) v``. Only ``P`` is kept;
+  backward is ``P * (u - sum(u * P))`` for softmax and the support-centred
+  sparsemax Jacobian (Martins & Astudillo 2016) for sparsemax, where
+  ``u = (g v^T) * mask``.
 
 Determinism: every op is a plain numpy expression, so two identical runs
 produce bit-identical values and gradients.
@@ -328,13 +344,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis; max-shift is detached (exactly gradient-free)."""
-    shift = Tensor(x.data.max(axis=-1, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(x: Tensor) -> Tensor:
     shift = Tensor(x.data.max(axis=-1, keepdims=True))
     centered = x - shift
@@ -345,3 +354,85 @@ def logsumexp(x: Tensor) -> Tensor:
     """Log-sum-exp over the last axis, keepdims, max-stabilized."""
     shift = Tensor(x.data.max(axis=-1, keepdims=True))
     return (x - shift).exp().sum(axis=-1, keepdims=True).log() + shift
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, one flattened GEMM each way."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data
+    out += b.data
+
+    def backward(g):
+        g2 = g.reshape(out.shape)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return Tensor._make(out.reshape(x.shape[:-1] + w.shape[-1:]), (x, w, b), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale and shift."""
+    scale = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + eps)
+    xhat = centered / std
+
+    def backward(g):
+        if x.requires_grad:
+            gx = g * gain.data
+            mean_gx = gx.sum(axis=-1, keepdims=True) * scale
+            mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * scale
+            x._accumulate((gx - mean_gx - xhat * mean_gx_xhat) / std)
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), backward)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, activation: str, mask: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over the last two axes, leading axes broadcast.
+
+    ``activation`` is ``"softmax"`` or ``"sparsemax"``; ``mask`` multiplies the
+    probabilities (inverted dropout) and must have their broadcast shape.
+    Returns the output and the probabilities before the mask.
+    """
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = (q.data @ k.data.swapaxes(-1, -2)) * scale
+    if activation == "softmax":
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+    elif activation == "sparsemax":
+        p = sparsemax_rows(scores)
+    else:
+        raise ValueError(f"unknown attention activation {activation!r}")
+    weights = p if mask is None else p * mask
+
+    def backward(g):
+        if v.requires_grad:
+            weights = p if mask is None else p * mask
+            v._accumulate(_unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        upstream = g @ v.data.swapaxes(-1, -2)
+        if mask is not None:
+            upstream *= mask
+        if activation == "softmax":
+            upstream -= (upstream * p).sum(axis=-1, keepdims=True)
+            ds = upstream * p
+        else:
+            ds = sparsemax_rows_backward(p, upstream)
+        ds *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(ds @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.shape))
+
+    return Tensor._make(weights @ v.data, (q, k, v), backward), p

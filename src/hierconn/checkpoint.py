@@ -8,13 +8,14 @@ float64 payloads. Raw bytes in and out, so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .model import ModelConfig, ModelParams, init_params
+from .model import ModelConfig, ModelParams
 
 CHECKPOINT_MAGIC = b"HCKP"
 CHECKPOINT_VERSION = 1
@@ -64,18 +65,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, ModelParams, dict]:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: corrupt header: {exc}") from exc
     config = ModelConfig(**header["config"])
-    params = init_params(config, seed=0)
-    payload = blob[16 + header_len :]
+    payload = 16 + header_len
     arrays = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = spec["offset"]
-        end = start + size * 8
-        if end > len(payload):
+        size = math.prod(shape)
+        start = payload + spec["offset"]
+        if start + size * 8 > len(blob):
             raise ParseError(f"{path}: truncated tensor payload for {spec['name']}")
         arrays[spec["name"]] = (
-            np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).astype(np.float64)
+            np.frombuffer(blob, dtype="<f8", count=size, offset=start)
+            .reshape(shape)
+            .astype(np.float64)
         )
-    params.load_state_arrays(arrays)
-    return config, params, header["meta"]
+    return config, ModelParams.from_state_arrays(config, arrays), header["meta"]

@@ -81,6 +81,7 @@ class ConfigKey:
     path: str  # "train.lr" in a section, "seed" at the top level
     spec: Field
     type: type  # the field's annotation, None stripped from an optional one
+    optional: bool  # None is accepted: the annotation allows it or there is no default
 
     @property
     def default(self):
@@ -101,8 +102,10 @@ def _keys(cls, section: str | None = None, skip=()):
     hints = get_type_hints(cls)
     for f in fields(cls):
         if f.name not in skip:
-            kinds = [t for t in get_args(hints[f.name]) if t is not type(None)] or [hints[f.name]]
-            yield ConfigKey(f"{section}.{f.name}" if section else f.name, f, kinds[0])
+            args = get_args(hints[f.name])
+            kinds = [t for t in args if t is not type(None)] or [hints[f.name]]
+            optional = type(None) in args or f.default is MISSING
+            yield ConfigKey(f"{section}.{f.name}" if section else f.name, f, kinds[0], optional)
 
 
 _TOP_LEVEL = {key.path: key for key in _keys(RunConfig, skip=SECTIONS)}
@@ -112,20 +115,23 @@ CONFIG_KEYS = {  # every key by dotted path, top-level keys first
 }
 
 
-def _check_type(path: str, value, default):
-    """Light type policing against the default's type; None stays permissive."""
-    if value is None or default is None:
+# what a JSON value must be for each field annotation; bool is an int, so
+# numbers exclude it
+_ACCEPTED = {
+    bool: ("a boolean", (bool,)),
+    int: ("a number", (int, float)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+}
+
+
+def _check_type(key: ConfigKey, value):
+    """Light type policing against the field's annotation; None only where it is allowed."""
+    if value is None and key.optional:
         return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise InvalidValue(path, f"expected a boolean, got {value!r}")
-        return value
-    if isinstance(default, (int, float)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidValue(path, f"expected a number, got {value!r}")
-        return value
-    if isinstance(default, str) and not isinstance(value, str):
-        raise InvalidValue(path, f"expected a string, got {value!r}")
+    expected, accepted = _ACCEPTED[key.type]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and key.type is not bool):
+        raise InvalidValue(key.path, f"expected {expected}, got {value!r}")
     return value
 
 
@@ -133,7 +139,7 @@ def _set(effective: dict, path: str, value) -> None:
     if path not in CONFIG_KEYS:
         raise UnknownKey(path)
     key = CONFIG_KEYS[path]
-    value = _check_type(path, value, key.default)
+    value = _check_type(key, value)
     section, _, name = path.rpartition(".")
     if section:
         effective[section][name] = value

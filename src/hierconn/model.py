@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, softmax
+from .autodiff import Tensor, as_tensor, attention, concat, layer_norm, linear
 from .errors import NonFiniteActivation, ShapeMismatch
 
 LN_EPS = 1e-5
@@ -56,6 +56,15 @@ class ModelConfig:
         return asdict(self)
 
 
+def _check_state(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    if set(arrays) != set(shapes):
+        missing = set(shapes) ^ set(arrays)
+        raise ShapeMismatch(f"state keys mismatch: {sorted(missing)}")
+    for name, value in arrays.items():
+        if value.shape != shapes[name]:
+            raise ShapeMismatch(f"{name}: shape {value.shape} != {shapes[name]}")
+
+
 class ModelParams:
     """All learnable tensors, keyed by dotted name."""
 
@@ -76,15 +85,15 @@ class ModelParams:
         return {name: self.tensors[name].data for name in self.names()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.tensors):
-            missing = set(self.tensors) ^ set(arrays)
-            raise ShapeMismatch(f"state keys mismatch: {sorted(missing)}")
+        _check_state(arrays, {name: t.data.shape for name, t in self.tensors.items()})
         for name, value in arrays.items():
-            if value.shape != self.tensors[name].data.shape:
-                raise ShapeMismatch(
-                    f"{name}: shape {value.shape} != {self.tensors[name].data.shape}"
-                )
             self.tensors[name].data = np.asarray(value, dtype=np.float64)
+
+    @classmethod
+    def from_state_arrays(cls, config: "ModelConfig", arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """The parameters of ``config``, holding ``arrays`` (not copied)."""
+        _check_state(arrays, {name: shape for name, (shape, _) in param_specs(config).items()})
+        return cls({name: Tensor(value, requires_grad=True) for name, value in arrays.items()})
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -92,40 +101,34 @@ class ModelParams:
         )
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Zero-mean normal (0.02 std) weights and tokens, identity layer norms."""
-    rng = np.random.default_rng([seed, 1000])
+def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every learnable tensor's shape and initialiser ("normal", "zeros" or
+    "ones"), in the order ``init_params`` draws them."""
     d, n, k = config.d, config.n, config.k
     hidden = config.ffn_mult * d
-    tensors: dict[str, Tensor] = {}
+    specs: dict[str, tuple[tuple[int, ...], str]] = {}
 
-    def normal(name, shape):
-        tensors[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
-
-    def zeros(name, shape):
-        tensors[name] = Tensor(np.zeros(shape), requires_grad=True)
+    def linear_pair(prefix, w, b, shape):
+        specs[f"{prefix}.{w}"] = (shape, "normal")
+        specs[f"{prefix}.{b}"] = (shape[-1:], "zeros")
 
     def layer_norm_pair(prefix):
-        tensors[f"{prefix}.ln_g"] = Tensor(np.ones(d), requires_grad=True)
-        tensors[f"{prefix}.ln_b"] = Tensor(np.zeros(d), requires_grad=True)
+        specs[f"{prefix}.ln_g"] = ((d,), "ones")
+        specs[f"{prefix}.ln_b"] = ((d,), "zeros")
 
     def attention_block(prefix):
         for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
-            normal(f"{prefix}.{w}", (d, d))
-            zeros(f"{prefix}.{b}", (d,))
+            linear_pair(prefix, w, b, (d, d))
         layer_norm_pair(prefix)
 
     def ffn_block(prefix):
-        normal(f"{prefix}.w1", (d, hidden))
-        zeros(f"{prefix}.b1", (hidden,))
-        normal(f"{prefix}.w2", (hidden, d))
-        zeros(f"{prefix}.b2", (d,))
+        linear_pair(prefix, "w1", "b1", (d, hidden))
+        linear_pair(prefix, "w2", "b2", (hidden, d))
         layer_norm_pair(prefix)
 
-    normal("embed.w", (n, d))
-    zeros("embed.b", (d,))
-    normal("subgraph_tokens", (1, k, d))
-    normal("graph_token", (1, 1, d))
+    linear_pair("embed", "w", "b", (n, d))
+    specs["subgraph_tokens"] = ((1, k, d), "normal")
+    specs["graph_token"] = ((1, 1, d), "normal")
     for layer in range(config.layers):
         attention_block(f"layers.{layer}.node_attn")
         ffn_block(f"layers.{layer}.node_ffn")
@@ -133,13 +136,24 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         ffn_block(f"layers.{layer}.pool_ffn")
     attention_block("graph_attn")
     ffn_block("graph_ffn")
-    normal("head.w1", (3 * d, d))
-    zeros("head.b1", (d,))
-    normal("head.w2", (d, config.class_count))
-    zeros("head.b2", (config.class_count,))
-    normal("aux.w", (d, config.class_count))
-    zeros("aux.b", (config.class_count,))
-    return ModelParams(tensors)
+    linear_pair("head", "w1", "b1", (3 * d, d))
+    linear_pair("head", "w2", "b2", (d, config.class_count))
+    linear_pair("aux", "w", "b", (d, config.class_count))
+    return specs
+
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Zero-mean normal (0.02 std) weights and tokens, identity layer norms."""
+    rng = np.random.default_rng([seed, 1000])
+    init = {
+        "normal": lambda shape: rng.normal(0.0, INIT_STD, size=shape),
+        "zeros": np.zeros,
+        "ones": np.ones,
+    }
+    return ModelParams({
+        name: Tensor(init[kind](shape), requires_grad=True)
+        for name, (shape, kind) in param_specs(config).items()
+    })
 
 
 @dataclass
@@ -173,20 +187,16 @@ def _check_finite(name: str, t: Tensor) -> Tensor:
     return t
 
 
+def _dropout_mask(shape, p: float, rng) -> np.ndarray:
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng for determinism")
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def _dropout(x: Tensor, p: float, train: bool, rng) -> Tensor:
     if not train or p <= 0.0:
         return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng for determinism")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + LN_EPS).sqrt() * gain + bias
+    return x * Tensor(_dropout_mask(x.shape, p, rng))
 
 
 def _split_heads(x: Tensor, heads: int, d_h: int) -> Tensor:
@@ -216,30 +226,28 @@ def _attention(
     Returns (normed output, head-mean attention, per-head attention).
     """
     p = params
-    q = _split_heads(query_src @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], config.heads, config.d_h)
-    key = _split_heads(kv_src @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], config.heads, config.d_h)
-    value = _split_heads(kv_src @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], config.heads, config.d_h)
-    scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(config.d_h))
-    if activation == "sparsemax":
-        attn = scores.sparsemax()
-    elif activation == "softmax":
-        attn = softmax(scores)
-    else:
-        raise ValueError(f"unknown attention activation {activation!r}")
-    per_head = attn.data
-    head_mean = per_head.mean(axis=-3)
-    attn = _dropout(attn, config.dropout, train, rng)
-    pooled = _merge_heads(attn @ value)
-    out = pooled @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
-    normed = layer_norm(residual_src + out, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"])
-    return normed, head_mean, per_head
+
+    def project(x, name):
+        w, b = p[f"{prefix}.w{name}"], p[f"{prefix}.b{name}"]
+        return _split_heads(linear(x, w, b), config.heads, config.d_h)
+
+    q, key, value = project(query_src, "q"), project(kv_src, "k"), project(kv_src, "v")
+    mask = None
+    if train and config.dropout > 0.0:
+        # probabilities broadcast over the batch axes of q and key
+        shape = np.broadcast_shapes(q.shape[:-2], key.shape[:-2]) + (q.shape[-2], key.shape[-2])
+        mask = _dropout_mask(shape, config.dropout, rng)
+    pooled, per_head = attention(q, key, value, activation, mask)
+    out = linear(_merge_heads(pooled), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    normed = layer_norm(residual_src + out, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"], LN_EPS)
+    return normed, per_head.mean(axis=-3), per_head
 
 
 def _ffn(x: Tensor, params: ModelParams, config: ModelConfig, prefix: str, *, train: bool, rng) -> Tensor:
-    hidden = (x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]).gelu()
+    hidden = linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]).gelu()
     hidden = _dropout(hidden, config.dropout, train, rng)
-    out = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-    return layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
+    out = linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS)
 
 
 def embed_nodes(matrices, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -247,7 +255,7 @@ def embed_nodes(matrices, params: ModelParams, config: ModelConfig) -> Tensor:
     x = as_tensor(matrices)
     if x.shape[-1] != config.n or x.shape[-2] != config.n:
         raise ShapeMismatch(f"matrix shape {x.shape} != (.., {config.n}, {config.n})")
-    return x @ params["embed.w"] + params["embed.b"]
+    return linear(x, params["embed.w"], params["embed.b"])
 
 
 def node_to_node(x, params: ModelParams, config: ModelConfig, layer: int, *, train=False, rng=None) -> Tensor:

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from hierconn.autodiff import Tensor, concat, log_softmax, logsumexp, no_grad, softmax
+from hierconn.autodiff import (
+    Tensor,
+    attention,
+    concat,
+    layer_norm,
+    linear,
+    log_softmax,
+    logsumexp,
+    no_grad,
+)
 
 
 def finite_diff(fn, arrays, h=1e-6):
@@ -102,15 +111,6 @@ class TestPrimitives:
 
 
 class TestComposites:
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(5, 9)))
-        p = softmax(x)
-        np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
-
-    def test_softmax_gradient(self):
-        check_op(lambda a: (softmax(a) * softmax(a)).sum(), [(3, 6)])
-
     def test_log_softmax_gradient(self):
         check_op(lambda a: (log_softmax(a) * log_softmax(a)).sum(), [(2, 5)])
 
@@ -140,6 +140,47 @@ class TestComposites:
 
         (fd,) = finite_diff(value, [x.copy()])
         np.testing.assert_allclose(t.grad, fd, atol=1e-5)
+
+
+class TestFusedOps:
+    def test_linear(self):
+        check_op(lambda x, w, b: (linear(x, w, b) * linear(x, w, b)).sum(), [(2, 3, 4), (4, 5), (5,)])
+
+    def test_layer_norm(self):
+        weights = np.random.default_rng(6).normal(size=(3, 5))
+        check_op(
+            lambda x, g, b: (layer_norm(x, g, b, 1e-5) * Tensor(weights)).sum(),
+            [(2, 3, 5), (5,), (5,)],
+        )
+
+    def test_attention_softmax_rows_sum_to_one(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(2, 5, 4))) for _ in range(3))
+        _, p = attention(q, k, v, "softmax")
+        assert p.shape == (2, 5, 5)
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_attention_softmax_gradient(self):
+        def build(q, k, v):
+            out, _ = attention(q, k, v, "softmax")
+            return (out * out).sum()
+
+        check_op(build, [(2, 3, 4), (2, 6, 4), (2, 6, 4)])
+
+    def test_attention_sparsemax_gradient_with_mask(self):
+        # broadcast (1, heads, Tq, d) query against (B, heads, Tk, d) keys
+        mask = (np.random.default_rng(7).random((2, 2, 3, 6)) >= 0.3) / 0.7
+
+        def build(q, k, v):
+            out, _ = attention(q * 3.0, k, v, "sparsemax", mask)
+            return (out * out).sum()
+
+        check_op(build, [(1, 2, 3, 4), (2, 2, 6, 4), (2, 2, 6, 4)], seed=8, atol=1e-6)
+
+    def test_attention_rejects_unknown_activation(self):
+        t = Tensor(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            attention(t, t, t, "relu")
 
 
 class TestGraphMechanics:

@@ -268,3 +268,20 @@ class TestExitCodes:
             "--config", str(cfg), "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    # keys whose default is None, or whose annotation does not admit None
+    @pytest.mark.parametrize("doc, path", [
+        ({"train": {"grad_clip_norm": "x"}}, "train.grad_clip_norm"),
+        ({"seed": None}, "seed"),
+    ])
+    def test_wrongly_typed_config_value_is_data_error(
+        self, doc, path, synth_spec_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([
+            "train", "--synth", str(synth_spec_file),
+            "--config", str(cfg), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert f"config key '{path}'" in capsys.readouterr().err

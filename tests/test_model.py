@@ -26,14 +26,22 @@ def tiny_params(seed=0):
     return init_params(TINY, seed)
 
 
+def dropout_masks(seed, shape, rate):
+    """The attention dropout multipliers a train-mode stage draws from ``seed``."""
+    return (np.random.default_rng(seed).random(shape) >= rate) / (1.0 - rate)
+
+
 def layer_norm_oracle(x, gain, bias):
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
     return (x - mu) / np.sqrt(var + LN_EPS) * gain + bias
 
 
-def attention_oracle(query, kv, residual, p, prefix, heads, activation="softmax"):
-    """Dense single-batch attention computed with plain loops."""
+def attention_oracle(query, kv, residual, p, prefix, heads, activation="softmax", mask=None):
+    """Dense single-batch attention computed with plain loops.
+
+    ``mask``: optional (heads, queries, keys) inverted-dropout multipliers.
+    """
     d = query.shape[-1]
     d_h = d // heads
     q = query @ p[f"{prefix}.wq"].data + p[f"{prefix}.bq"].data
@@ -48,6 +56,8 @@ def attention_oracle(query, kv, residual, p, prefix, heads, activation="softmax"
             a = e / e.sum(-1, keepdims=True)
         else:
             a = np.stack([sparsemax_forward(row).probabilities for row in scores])
+        if mask is not None:
+            a = a * mask[h]
         outs.append(a @ v[:, sl])
     merged = np.concatenate(outs, axis=-1)
     out = merged @ p[f"{prefix}.wo"].data + p[f"{prefix}.bo"].data
@@ -121,6 +131,21 @@ class TestNodeToNode:
         expect = attention_oracle(x, x, x, params, "layers.0.node_attn", heads=2)
         np.testing.assert_allclose(got, expect, atol=1e-10)
 
+    def test_train_mode_dropout_matches_oracle_draws(self):
+        cfg = ModelConfig(n=4, d=8, heads=2, layers=1, k=2, dropout=0.3)
+        params = init_params(cfg, 4)
+        x = np.random.default_rng(4).normal(size=(2, 4, 8))
+        got = node_to_node(
+            Tensor(x), params, cfg, 0, train=True, rng=np.random.default_rng(40)
+        ).data
+        masks = dropout_masks(40, (2, 2, 4, 4), 0.3)
+        assert (masks == 0.0).any()
+        for b in range(2):
+            expect = attention_oracle(
+                x[b], x[b], x[b], params, "layers.0.node_attn", heads=2, mask=masks[b]
+            )
+            np.testing.assert_allclose(got[b], expect, atol=1e-10)
+
 
 class TestNodeToSubgraph:
     def test_identical_nodes_give_uniform_rows(self):
@@ -186,6 +211,25 @@ class TestNodeToSubgraph:
             x_sg, x_n, x_sg, params, "layers.0.pool_attn", heads=2, activation="sparsemax"
         )
         np.testing.assert_allclose(out.data[0], expect, atol=1e-10)
+
+    def test_train_mode_dropout_broadcast_query_matches_oracle_draws(self):
+        # the first block's query is the (1, K, d) parameter, so one mask is
+        # drawn over the broadcast (B, heads, K, n) probabilities
+        cfg = ModelConfig(n=5, d=8, heads=2, layers=1, k=3, dropout=0.3)
+        params = init_params(cfg, 9)
+        x_n = np.random.default_rng(9).normal(size=(2, 5, 8))
+        x_sg = params["subgraph_tokens"].data[0]
+        out, _, _ = node_to_subgraph(
+            params["subgraph_tokens"], Tensor(x_n), params, cfg, 0,
+            train=True, rng=np.random.default_rng(90),
+        )
+        masks = dropout_masks(90, (2, 2, 3, 5), 0.3)
+        for b in range(2):
+            expect = attention_oracle(
+                x_sg, x_n[b], x_sg, params, "layers.0.pool_attn", heads=2,
+                activation="sparsemax", mask=masks[b],
+            )
+            np.testing.assert_allclose(out.data[b], expect, atol=1e-10)
 
 
 class TestSubgraphToGraph:

@@ -285,6 +285,30 @@ class TestCheckpointContainer:
         assert meta == {"note": "x"}
         for name in params.names():
             assert np.array_equal(loaded[name].data, params[name].data)
+            assert loaded[name].data.flags.writeable
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        from hierconn.errors import ParseError
+
+        config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+        path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 5))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", ["wrong shape", "missing tensor"])
+    def test_tensors_disagreeing_with_header_config_rejected(self, defect, tmp_path):
+        from hierconn.errors import ShapeMismatch
+
+        config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+        if defect == "wrong shape":  # tensors of an n=7 model under an n=6 header
+            params = init_params(ModelConfig(n=7, d=8, heads=2, layers=1, k=3), 5)
+        else:
+            params = init_params(config, 5)
+            del params.tensors["aux.b"]
+        path = save_checkpoint(tmp_path / "c.bin", config, params)
+        with pytest.raises(ShapeMismatch):
+            load_checkpoint(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
