@@ -20,7 +20,7 @@ from .data import (
     save_dataset,
     stratified_kfold,
 )
-from .evaluate import CvReport, MetricSet, compute_metrics, run_cv
+from .evaluate import CvReport, run_cv
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -30,6 +30,7 @@ from .losses import (
     orthogonality_loss,
     total_loss,
 )
+from .metrics import MetricSet, compute_metrics
 from .model import (
     AttentionTrace,
     ForwardOutput,

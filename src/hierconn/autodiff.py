@@ -32,7 +32,7 @@ import contextlib
 import threading
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, softmax
 
 from .sparsemax import sparsemax_rows, sparsemax_rows_backward
 
@@ -407,8 +407,7 @@ def attention(
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = (q.data @ k.data.swapaxes(-1, -2)) * scale
     if activation == "softmax":
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = softmax(scores, axis=-1)
     elif activation == "sparsemax":
         p = sparsemax_rows(scores)
     else:

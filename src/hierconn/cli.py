@@ -16,8 +16,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint
 from .config import CONFIG_KEYS, OUT_ROOT_ENV, RunConfig, parse_config
 from .data import (
@@ -192,7 +190,7 @@ def _cmd_evaluate(args) -> int:
         ds, folds, factory, train_cfg, cfg.loss_weights(),
         out_dir=run_dir, threads=cfg.threads,
     )
-    _write_json(run_dir / "cv_report.json", _jsonable(report.to_dict()))
+    _write_json(run_dir / "cv_report.json", report.to_dict())
     table = format_metric_table(report)
     (run_dir / "metrics_table.txt").write_text(table)
     with open(run_dir / "predictions.csv", "w") as f:
@@ -243,16 +241,6 @@ def _cmd_gradcheck(args) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 _COMMANDS = {

@@ -49,26 +49,16 @@ class RunConfig:
     val_fraction: float = field(default=0.25, metadata={"help": "held-out validation share"})
 
     def model_config(self, n_from_data: int) -> ModelConfig:
-        values = dict(self.model)
-        pinned = values.pop("n")
+        pinned = self.model["n"]
         if pinned is not None and pinned != n_from_data:
             raise InvalidValue("model.n", f"config pins n={pinned}, dataset has n={n_from_data}")
-        try:
-            return ModelConfig(n=n_from_data, **values)
-        except ValueError as exc:
-            raise InvalidValue("model", str(exc)) from exc
+        return _build("model", {**self.model, "n": n_from_data})
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(seed=self.seed, **self.train)
-        except ValueError as exc:
-            raise InvalidValue("train", str(exc)) from exc
+        return _build("train", {**self.train, "seed": self.seed})
 
     def loss_weights(self) -> LossWeights:
-        try:
-            return LossWeights(**self.loss)
-        except ValueError as exc:
-            raise InvalidValue("loss", str(exc)) from exc
+        return _build("loss", self.loss)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -96,6 +86,14 @@ class ConfigKey:
 
 
 SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights}
+
+
+def _build(section: str, values: dict):
+    """The section's dataclass from ``values``; its own checks become InvalidValue."""
+    try:
+        return SECTIONS[section](**values)
+    except ValueError as exc:
+        raise InvalidValue(section, str(exc)) from exc
 
 
 def _keys(cls, section: str | None = None, skip=()):

@@ -394,6 +394,21 @@ def planted_edge_means(ds: DatasetManifest, planted: tuple[int, ...]) -> tuple[n
 # ---------------------------------------------------------------------------
 
 
+def stack_records(records: list[SubjectRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n, n) matrices and (B,) integer labels of ``records``, in order."""
+    matrices = np.stack([rec.matrix.values for rec in records])
+    labels = np.array([rec.label for rec in records], dtype=np.int64)
+    return matrices, labels
+
+
+def _carve(ids, fraction: float, rng) -> tuple[list[str], list[str]]:
+    """Shuffle ``ids`` with ``rng``; the first ``round(fraction * len)`` are
+    validation. Returns (train, validation)."""
+    shuffled = rng.permutation(ids).tolist()
+    n_val = int(round(fraction * len(shuffled)))
+    return shuffled[n_val:], shuffled[:n_val]
+
+
 def stratified_kfold(
     ds: DatasetManifest, k: int = 5, val_fraction: float = 0.25, seed: int = 0
 ) -> list[FoldSplit]:
@@ -412,44 +427,23 @@ def stratified_kfold(
                 f"class {label} has {len(ids)} subjects, need >= {k} for {k}-fold"
             )
     rng = np.random.default_rng([seed, 101])
-    test_chunks: dict[int, list[list[str]]] = {}
-    for label, ids in by_class.items():
-        ids = sorted(ids)
-        perm = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in perm]
-        # sizes differ by at most one across folds
-        base, extra = divmod(len(shuffled), k)
-        chunks, pos = [], 0
-        for f in range(k):
-            size = base + (1 if f < extra else 0)
-            chunks.append(shuffled[pos : pos + size])
-            pos += size
-        test_chunks[label] = chunks
+    # test chunks per class; sizes differ by at most one, larger chunks first
+    test_chunks = {
+        label: [chunk.tolist() for chunk in np.array_split(rng.permutation(sorted(ids)), k)]
+        for label, ids in by_class.items()
+    }
     folds = []
     for f in range(k):
-        test = sorted(test_chunks[0][f] + test_chunks[1][f])
-        val, train = [], []
-        for label in (0, 1):
-            pool = [
-                sid
-                for g in range(k)
-                if g != f
-                for sid in test_chunks[label][g]
-            ]
-            pool_rng = np.random.default_rng([seed, 211, f, label])
-            perm = pool_rng.permutation(len(pool))
-            shuffled = [pool[i] for i in perm]
-            n_val = int(round(val_fraction * len(shuffled)))
-            val.extend(shuffled[:n_val])
-            train.extend(shuffled[n_val:])
-        folds.append(
-            FoldSplit(
-                fold_index=f,
-                train_ids=tuple(sorted(train)),
-                val_ids=tuple(sorted(val)),
-                test_ids=tuple(test),
+        train, val, test = [], [], []
+        for label, chunks in test_chunks.items():
+            pool = [sid for g, chunk in enumerate(chunks) if g != f for sid in chunk]
+            fold_train, fold_val = _carve(
+                pool, val_fraction, np.random.default_rng([seed, 211, f, label])
             )
-        )
+            train += fold_train
+            val += fold_val
+            test += chunks[f]
+        folds.append(FoldSplit(f, sorted(train), sorted(val), sorted(test)))
     return folds
 
 
@@ -460,12 +454,9 @@ def stratified_holdout(
     train, val = [], []
     for label in (0, 1):
         ids = sorted(rec.id for rec in ds.subjects if rec.label == label)
-        rng = np.random.default_rng([seed, 307, label])
-        perm = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in perm]
-        n_val = int(round(val_fraction * len(shuffled)))
-        val.extend(shuffled[:n_val])
-        train.extend(shuffled[n_val:])
+        label_train, label_val = _carve(ids, val_fraction, np.random.default_rng([seed, 307, label]))
+        train += label_train
+        val += label_val
     if not val or not train:
         raise TooFewSubjects("holdout split left an empty train or validation set")
     return tuple(sorted(train)), tuple(sorted(val))

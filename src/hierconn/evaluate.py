@@ -11,24 +11,12 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .data import DatasetManifest, FoldSplit
+from .data import DatasetManifest, FoldSplit, stack_records
 from .errors import EmptyDataset
 from .losses import LossWeights
 from .metrics import MetricSet, aggregate_metrics, compute_metrics
 from .model import ModelConfig, ModelParams
 from .train import TrainConfig, TrainReport, fit, predict_scores
-
-__all__ = [
-    "CvReport",
-    "MetricSet",
-    "aggregate_metrics",
-    "compute_metrics",
-    "format_metric_table",
-    "run_cv",
-]
-
 
 @dataclass
 class CvReport:
@@ -95,8 +83,7 @@ def run_cv(
             # keep the serialized report portable and byte-reproducible
             report.checkpoint_path = str(Path(report.checkpoint_path).relative_to(out_dir))
         test_records = ds.subset(split.test_ids)
-        matrices = np.stack([rec.matrix.values for rec in test_records])
-        labels = np.array([rec.label for rec in test_records])
+        matrices, labels = stack_records(test_records)
         scores = predict_scores(matrices, params, config)
         metrics = compute_metrics(scores, labels)
         predictions = [

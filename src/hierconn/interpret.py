@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import no_grad
-from .data import DatasetManifest, SubjectRecord
+from .data import DatasetManifest, SubjectRecord, stack_records
 from .errors import EmptyDataset, MissingAtlasLabels, ShapeMismatch
 from .model import ModelConfig, ModelParams, forward_batch
 
@@ -78,7 +78,7 @@ def cohort_traces(
     n = records[0].matrix.n
     if n != config.n:
         raise ShapeMismatch(f"cohort node count {n} != checkpoint node count {config.n}")
-    matrices = np.stack([rec.matrix.values for rec in records])
+    matrices, _ = stack_records(records)
     with no_grad():
         out = forward_batch(matrices, params, config, mode="eval")
     return CohortTraces(
@@ -111,16 +111,13 @@ def atlas_overlap(assign: SubnetworkAssignment, atlas_labels) -> AtlasOverlapTab
         raise ShapeMismatch(f"{len(atlas_labels)} atlas labels for {n} nodes")
     columns = tuple(sorted(set(atlas_labels)))
     column_of = {label: j for j, label in enumerate(columns)}
-    table = np.zeros((k, len(columns)))
-    for subgraph in range(k):
-        nodes = np.nonzero(assign.hard_assignment == subgraph)[0]
-        if nodes.size == 0:
-            warnings.warn(f"subgraph {subgraph} has no hard-assigned nodes; uniform row")
-            table[subgraph] = 1.0 / len(columns)
-            continue
-        for node in nodes:
-            table[subgraph, column_of[atlas_labels[node]]] += 1.0
-        table[subgraph] /= nodes.size
+    counts = np.zeros((k, len(columns)))
+    np.add.at(counts, (assign.hard_assignment, [column_of[label] for label in atlas_labels]), 1.0)
+    sizes = counts.sum(axis=1)
+    for subgraph in np.nonzero(sizes == 0)[0]:
+        warnings.warn(f"subgraph {subgraph} has no hard-assigned nodes; uniform row")
+    table = counts / np.maximum(sizes, 1.0)[:, None]
+    table[sizes == 0] = 1.0 / len(columns)
     return AtlasOverlapTable(labels=columns, proportions=table)
 
 
@@ -151,13 +148,6 @@ def mean_token_cosine(traces: CohortTraces) -> float:
     return float(gram[:, upper[0], upper[1]].mean())
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
-
-
 def export_report(
     assign: SubnetworkAssignment,
     overlap: AtlasOverlapTable | None,
@@ -168,64 +158,28 @@ def export_report(
     """Plot-ready CSV matrices; deterministic ordering, full float precision."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    k, n = assign.soft_assignment.shape
-    path = out_dir / "soft_assignment.csv"
-    _write_csv(
-        path,
-        "subgraph," + ",".join(f"node_{j}" for j in range(n)),
-        (
-            [str(i)] + [f"{v:.17g}" for v in assign.soft_assignment[i]]
-            for i in range(k)
-        ),
-    )
-    written.append(path)
-
-    path = out_dir / "hard_assignment.csv"
-    _write_csv(
-        path,
-        "node,subgraph",
-        ([str(j), str(int(assign.hard_assignment[j]))] for j in range(n)),
-    )
-    written.append(path)
-
+    soft = assign.soft_assignment
+    tables = [  # (file, header, rows)
+        ("soft_assignment.csv", ["subgraph", *(f"node_{j}" for j in range(soft.shape[1]))],
+         [[i, *row] for i, row in enumerate(soft)]),
+        ("hard_assignment.csv", ["node", "subgraph"], enumerate(assign.hard_assignment)),
+    ]
     if overlap is not None:
-        path = out_dir / "atlas_overlap.csv"
-        _write_csv(
-            path,
-            "subgraph," + ",".join(overlap.labels),
-            (
-                [str(i)] + [f"{v:.17g}" for v in overlap.proportions[i]]
-                for i in range(k)
-            ),
-        )
+        tables.append(("atlas_overlap.csv", ["subgraph", *overlap.labels],
+                       [[i, *row] for i, row in enumerate(overlap.proportions)]))
+    tables += [
+        ("importance.csv", ["subgraph", "weight", "rank"],
+         [(i, w, importance.ranking.index(i)) for i, w in enumerate(importance.weights)]),
+        ("subgraph_nodes.csv", ["subgraph", "node", "atlas_label", "weight"],
+         [(subgraph, node, atlas_labels[node] if atlas_labels else "", soft[subgraph, node])
+          for subgraph, mask in enumerate(assign.support_masks) for node in mask]),
+    ]
+    written = []
+    for name, header, rows in tables:
+        path = out_dir / name
+        with open(path, "w") as f:
+            for row in [header, *rows]:
+                f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+                f.write("\n")
         written.append(path)
-
-    path = out_dir / "importance.csv"
-    _write_csv(
-        path,
-        "subgraph,weight,rank",
-        (
-            [str(i), f"{assign_weight:.17g}", str(importance.ranking.index(i))]
-            for i, assign_weight in enumerate(importance.weights)
-        ),
-    )
-    written.append(path)
-
-    path = out_dir / "subgraph_nodes.csv"
-    rows = []
-    for subgraph, mask in enumerate(assign.support_masks):
-        for node in mask:
-            label = atlas_labels[node] if atlas_labels else ""
-            rows.append(
-                [
-                    str(subgraph),
-                    str(node),
-                    label,
-                    f"{assign.soft_assignment[subgraph, node]:.17g}",
-                ]
-            )
-    _write_csv(path, "subgraph,node,atlas_label,weight", rows)
-    written.append(path)
     return written

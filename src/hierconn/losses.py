@@ -109,13 +109,11 @@ def hierarchical_consistency_loss(z_n, z_g, tau: float) -> Tensor:
     teacher = np.asarray(z_g.data if isinstance(z_g, Tensor) else z_g, dtype=np.float64)
     if teacher.shape != tuple(z_n.shape):
         raise ShapeMismatch(f"student shape {z_n.shape} != teacher shape {teacher.shape}")
-    # same scaling op as the student path so equal logits cancel exactly
-    scaled = teacher * (1.0 / tau)
-    shift = scaled.max(axis=-1, keepdims=True)
-    log_q = (scaled - shift) - np.log(np.exp(scaled - shift).sum(axis=-1, keepdims=True))
+    # same ops as the student path so equal logits cancel exactly
+    log_q = log_softmax(Tensor(teacher * (1.0 / tau))).detach()
     log_p = log_softmax(z_n * (1.0 / tau))
     p = log_p.exp()
-    kl_rows = (p * (log_p - Tensor(log_q))).sum(axis=-1, keepdims=True)
+    kl_rows = (p * (log_p - log_q)).sum(axis=-1, keepdims=True)
     return kl_rows.mean() * (tau * tau)
 
 

@@ -33,17 +33,9 @@ class MetricSet:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; tied values share the average of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a tie group ending at 1-based rank c spans c - (count - 1) .. c
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def compute_metrics(scores, labels) -> MetricSet:

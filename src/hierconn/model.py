@@ -21,9 +21,6 @@ from .errors import NonFiniteActivation, ShapeMismatch
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
-ATTN_PARAM_KEYS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_g", "ln_b")
-FFN_PARAM_KEYS = ("w1", "b1", "w2", "b2", "ln_g", "ln_b")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -168,7 +165,6 @@ class AttentionTrace:
     node_to_subgraph: list[np.ndarray] = field(default_factory=list)
     subgraph_to_graph: np.ndarray | None = None
     node_to_subgraph_heads: list[np.ndarray] | None = None
-    subgraph_to_graph_heads: np.ndarray | None = None
 
 
 @dataclass
@@ -341,13 +337,11 @@ def forward_batch(
         trace.node_to_subgraph.append(head_mean)
         if trace_heads:
             trace.node_to_subgraph_heads.append(per_head)
-    x_g, graph_mean, graph_heads = subgraph_to_graph(
+    x_g, graph_mean, _ = subgraph_to_graph(
         params["graph_token"], x_sg, params, config, train=train, rng=rng
     )
     x_g = _check_finite("graph_ffn", _ffn(x_g, params, config, "graph_ffn", train=train, rng=rng))
     trace.subgraph_to_graph = graph_mean
-    if trace_heads:
-        trace.subgraph_to_graph_heads = graph_heads
 
     batch = matrices.shape[0]
     graph_feat = x_g.reshape(batch, config.d)

@@ -9,10 +9,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import softmax
 
 from .autodiff import no_grad
 from .checkpoint import save_checkpoint
-from .data import SubjectRecord, mixup
+from .data import SubjectRecord, mixup, stack_records
 from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch
 from .losses import LossWeights, total_loss_graph
 from .metrics import compute_metrics
@@ -147,23 +148,13 @@ def collect_gradients(params: ModelParams) -> dict[str, np.ndarray]:
     return grads
 
 
-def _stack(records: list[SubjectRecord]) -> tuple[np.ndarray, np.ndarray]:
-    matrices = np.stack([rec.matrix.values for rec in records])
-    labels = np.array([rec.label for rec in records], dtype=np.int64)
-    return matrices, labels
-
-
 def predict_scores(
     matrices: np.ndarray, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
     """Positive-class probability from the graph head, eval mode."""
     with no_grad():
         out = forward_batch(matrices, params, config, mode="eval")
-    logits = out.z_g.data
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs[:, 1]
+    return softmax(out.z_g.data, axis=-1)[:, 1]
 
 
 def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -195,8 +186,8 @@ def fit(
     """
     if not train_records or not val_records:
         raise EmptyDataset("fit needs nonempty train and validation sets")
-    x_train, y_train = _stack(train_records)
-    x_val, y_val = _stack(val_records)
+    x_train, y_train = stack_records(train_records)
+    x_val, y_val = stack_records(val_records)
     if x_train.shape[1] != config.n or x_val.shape[1] != config.n:
         raise ShapeMismatch("dataset node count differs from model config")
 
