@@ -57,25 +57,31 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, ModelParams, dict]:
     blob = path.read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise ParseError(f"{path}: truncated checkpoint header")
     version, header_len = struct.unpack("<IQ", blob[4:16])
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    try:
+    try:  # JSON and Unicode decode errors are ValueErrors, as are ModelConfig's checks
         header = json.loads(blob[16 : 16 + header_len].decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: corrupt header: {exc}") from exc
-    config = ModelConfig(**header["config"])
+        config = ModelConfig(**header["config"])
+        tensors = [(spec["name"], tuple(spec["shape"]), spec["offset"]) for spec in header["tensors"]]
+        meta = header["meta"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: corrupt header: {exc!r}") from exc
     payload = 16 + header_len
     arrays = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
+    offset = 0  # tensors are packed back to back in header order
+    for name, shape, start in tensors:
+        if start != offset or not isinstance(start, int):
+            raise ParseError(f"{path}: tensor {name} at offset {start!r}, expected {offset}")
         size = math.prod(shape)
-        start = payload + spec["offset"]
-        if start + size * 8 > len(blob):
-            raise ParseError(f"{path}: truncated tensor payload for {spec['name']}")
-        arrays[spec["name"]] = (
-            np.frombuffer(blob, dtype="<f8", count=size, offset=start)
+        offset += size * 8
+        if payload + offset > len(blob):
+            raise ParseError(f"{path}: truncated tensor payload for {name}")
+        arrays[name] = (
+            np.frombuffer(blob, dtype="<f8", count=size, offset=payload + start)
             .reshape(shape)
             .astype(np.float64)
         )
-    return config, ModelParams.from_state_arrays(config, arrays), header["meta"]
+    return config, ModelParams.from_state_arrays(config, arrays), meta

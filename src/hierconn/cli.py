@@ -132,7 +132,7 @@ def _load_synth_spec(path: str, seed_override: int | None = None) -> SyntheticSp
         return SyntheticSpec(
             **{f.name: doc[f.name] for f in fields(SyntheticSpec) if f.name in doc}
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field: {exc}") from exc
 
 

@@ -15,7 +15,9 @@ Defaults are the reference training recipe: lr 1e-4 with weight decay 1e-4
 annealed to 1e-5, 200 epochs at batch 64, K=8 subgraph tokens, d=384 with 8
 heads over 2 layers, alpha=1.3, tau=2.0, and the sigmoid-scheduled
 consistency weight (max 0.2, center at 1/4 of the steps, slope 0.001).
-Unknown keys are rejected so typos cannot silently fall back to defaults.
+Unknown keys are rejected so typos cannot silently fall back to defaults,
+and a value is stored as its field's type (an int key takes only integral
+numbers).
 """
 
 from __future__ import annotations
@@ -114,37 +116,34 @@ CONFIG_KEYS = {  # every key by dotted path, top-level keys first
 
 
 # what a JSON value must be for each field annotation; bool is an int, so
-# numbers exclude it
+# numbers exclude it, and an int field also takes an integral float (2.0)
 _ACCEPTED = {
     bool: ("a boolean", (bool,)),
-    int: ("a number", (int, float)),
+    int: ("an integer", (int, float)),
     float: ("a number", (int, float)),
     str: ("a string", (str,)),
 }
 
 
 def _check_type(key: ConfigKey, value):
-    """Light type policing against the field's annotation; None only where it is allowed."""
+    """The value as its field's type (None only where it is allowed), or InvalidValue."""
     if value is None and key.optional:
         return value
     expected, accepted = _ACCEPTED[key.type]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and key.type is not bool):
+    if (
+        not isinstance(value, accepted)
+        or (isinstance(value, bool) and key.type is not bool)
+        or (key.type is int and isinstance(value, float) and not value.is_integer())
+    ):
         raise InvalidValue(key.path, f"expected {expected}, got {value!r}")
-    return value
+    return key.type(value)
 
 
 def _set(effective: dict, path: str, value) -> None:
     if path not in CONFIG_KEYS:
         raise UnknownKey(path)
-    key = CONFIG_KEYS[path]
-    value = _check_type(key, value)
     section, _, name = path.rpartition(".")
-    if section:
-        effective[section][name] = value
-    elif value is not None and key.type in (int, float):
-        effective[name] = key.type(value)  # top-level numbers take their field's type
-    else:
-        effective[name] = value
+    (effective[section] if section else effective)[name] = _check_type(CONFIG_KEYS[path], value)
 
 
 def _merge_document(effective: dict, doc: dict) -> None:

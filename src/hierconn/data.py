@@ -301,21 +301,32 @@ def load_dataset(manifest_path: str | Path) -> DatasetManifest:
         doc = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: {exc}") from exc
-    if not isinstance(doc, dict) or "subjects" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
         raise ParseError(f"{manifest_path}: expected an object with a 'subjects' list")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(f"{manifest_path}: missing or invalid node count 'n'")
     atlas = doc.get("atlas_labels")
+    if atlas is not None and not (isinstance(atlas, list) and all(isinstance(a, str) for a in atlas)):
+        raise ParseError(f"{manifest_path}: 'atlas_labels' must be null or a list of strings")
     base = manifest_path.parent
     records = []
     for entry in doc["subjects"]:
-        try:
-            sid, label, rel = entry["id"], entry["label"], entry["path"]
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"{manifest_path}: malformed subject entry {entry!r}") from exc
+        if not isinstance(entry, dict) or not {"id", "label", "path"} <= entry.keys():
+            raise ParseError(f"{manifest_path}: malformed subject entry {entry!r}")
+        sid, label, rel = entry["id"], entry["label"], entry["path"]
+        for name, ok, expected in (
+            ("id", isinstance(sid, str), "a string"),
+            ("label", type(label) is int and label in (0, 1), "the integer 0 or 1"),
+            ("path", isinstance(rel, str), "a string"),
+        ):
+            if not ok:
+                raise ParseError(
+                    f"{manifest_path}: subject {sid!r}: {name} must be {expected}, "
+                    f"got {entry[name]!r}"
+                )
         values = load_matrix(base / rel)
-        records.append(SubjectRecord(sid, int(label), _validated_matrix(values, n, sid)))
+        records.append(SubjectRecord(sid, label, _validated_matrix(values, n, sid)))
     return DatasetManifest(
         subjects=tuple(records),
         atlas_labels=tuple(atlas) if atlas is not None else None,

@@ -273,6 +273,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc, path", [
         ({"train": {"grad_clip_norm": "x"}}, "train.grad_clip_norm"),
         ({"seed": None}, "seed"),
+        ({"train": {"epochs": 1.5}}, "train.epochs"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"folds": 2.7}, "folds"),
     ])
     def test_wrongly_typed_config_value_is_data_error(
         self, doc, path, synth_spec_file, tmp_path, capsys
@@ -285,3 +288,26 @@ class TestExitCodes:
         ])
         assert code == 2
         assert f"config key '{path}'" in capsys.readouterr().err
+
+    def test_integral_float_for_int_key_is_stored_as_int(self, synth_spec_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"heads": 2.0}}))
+        flags = fast_flags(tmp_path)
+        i = flags.index("--heads")
+        del flags[i : i + 2]
+        out = tmp_path / "x"
+        code = main([
+            "train", "--synth", str(synth_spec_file),
+            "--config", str(cfg), "--out", str(out), *flags,
+        ])
+        assert code == 0
+        assert '"heads": 2,' in (out / "effective_config.json").read_text()
+
+    def test_malformed_synth_spec_field_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n": 12, "subject_count": 16, "planted_subgraphs": [["a", 2]],
+            "signal_strength": 0.6, "noise_level": 0.12, "seed": 7,
+        }))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ds")]) == 2
+        assert str(spec) in capsys.readouterr().err

@@ -22,6 +22,7 @@ from hierconn.data import (
     planted_edge_means,
     save_dataset,
     save_matrix,
+    stratified_holdout,
     stratified_kfold,
 )
 from hierconn.errors import (
@@ -201,6 +202,29 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("where, name, value", [
+        ("subject", "label", "x"),
+        ("subject", "label", None),
+        ("subject", "label", 0.6),
+        ("subject", "label", True),
+        ("subject", "path", 5),
+        ("subject", "id", 5),
+        ("manifest", "subjects", 5),
+        ("manifest", "atlas_labels", 5),
+        ("manifest", "n", True),
+    ])
+    def test_malformed_field_is_parse_error(self, where, name, value, tmp_path):
+        rng = np.random.default_rng(4)
+        path = write_manifest(tmp_path, [valid_matrix(rng) for _ in range(4)], [0, 1, 0, 1], n=4)
+        doc = json.loads(path.read_text())
+        (doc["subjects"][1] if where == "subject" else doc)[name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(path) in str(exc.value)
+        if where == "subject":
+            assert f"subject {doc['subjects'][1]['id']!r}" in str(exc.value)
+
     def test_save_load_roundtrip(self, tmp_path):
         spec = SyntheticSpec(
             n=12, subject_count=6, planted_subgraphs=[(2, 3, 4, 5)],
@@ -279,25 +303,27 @@ class TestGenerateSynthetic:
             self.spec(planted_subgraphs=[])
 
 
-class TestStratifiedKfold:
-    def dataset(self, per_class, n=6, seed=0):
-        rng = np.random.default_rng(seed)
-        recs = []
-        for i in range(per_class[0]):
-            recs.append(SubjectRecord(f"c{i}", 0, ConnectivityMatrix(valid_matrix(rng, n))))
-        for i in range(per_class[1]):
-            recs.append(SubjectRecord(f"p{i}", 1, ConnectivityMatrix(valid_matrix(rng, n))))
-        return DatasetManifest(subjects=tuple(recs))
+def two_class_dataset(per_class, n=6, seed=0):
+    """(controls, patients) counts of random valid matrices, ids c0.. and p0.."""
+    rng = np.random.default_rng(seed)
+    recs = []
+    for i in range(per_class[0]):
+        recs.append(SubjectRecord(f"c{i}", 0, ConnectivityMatrix(valid_matrix(rng, n))))
+    for i in range(per_class[1]):
+        recs.append(SubjectRecord(f"p{i}", 1, ConnectivityMatrix(valid_matrix(rng, n))))
+    return DatasetManifest(subjects=tuple(recs))
 
+
+class TestStratifiedKfold:
     def test_exact_divisibility_one_per_class(self):
-        ds = self.dataset((5, 5))
+        ds = two_class_dataset((5, 5))
         folds = stratified_kfold(ds, k=5, seed=1)
         for f in folds:
             test_labels = [ds.by_id(i).label for i in f.test_ids]
             assert sorted(test_labels) == [0, 1]
 
     def test_uneven_split_counts_within_one(self):
-        ds = self.dataset((7, 5))
+        ds = two_class_dataset((7, 5))
         folds = stratified_kfold(ds, k=5, seed=2)
         # exhaustive count check: global class ratio 7/12 and 5/12
         for f in folds:
@@ -309,33 +335,58 @@ class TestStratifiedKfold:
                 assert abs(got - expected) <= 1.0
 
     def test_test_folds_partition_dataset(self):
-        ds = self.dataset((7, 5))
+        ds = two_class_dataset((7, 5))
         folds = stratified_kfold(ds, k=5, seed=3)
         all_test = [i for f in folds for i in f.test_ids]
         assert sorted(all_test) == sorted(r.id for r in ds.subjects)
 
     def test_fold_covers_dataset_disjointly(self):
-        ds = self.dataset((8, 6))
+        ds = two_class_dataset((8, 6))
         for f in stratified_kfold(ds, k=5, seed=4):
             union = set(f.train_ids) | set(f.val_ids) | set(f.test_ids)
             assert union == {r.id for r in ds.subjects}
             assert len(f.train_ids) + len(f.val_ids) + len(f.test_ids) == 14
 
     def test_val_fraction(self):
-        ds = self.dataset((40, 40))
+        ds = two_class_dataset((40, 40))
         for f in stratified_kfold(ds, k=5, val_fraction=0.25, seed=5):
             pool = len(f.train_ids) + len(f.val_ids)
             assert len(f.val_ids) == round(0.25 * pool)
 
     def test_deterministic(self):
-        ds = self.dataset((7, 5))
+        ds = two_class_dataset((7, 5))
         assert stratified_kfold(ds, k=5, seed=6) == stratified_kfold(ds, k=5, seed=6)
         assert stratified_kfold(ds, k=5, seed=6) != stratified_kfold(ds, k=5, seed=7)
 
     def test_too_few_subjects(self):
-        ds = self.dataset((4, 9))
+        ds = two_class_dataset((4, 9))
         with pytest.raises(TooFewSubjects):
             stratified_kfold(ds, k=5, seed=8)
+
+
+class TestStratifiedHoldout:
+    @pytest.mark.parametrize("per_class, fraction", [((7, 5), 0.25), ((10, 10), 0.3), ((3, 8), 0.5)])
+    def test_validation_share_per_class(self, per_class, fraction):
+        ds = two_class_dataset(per_class)
+        _, val = stratified_holdout(ds, fraction, seed=1)
+        for label, count in enumerate(per_class):
+            assert sum(ds.by_id(i).label == label for i in val) == round(fraction * count)
+
+    def test_disjoint_and_covering(self):
+        ds = two_class_dataset((7, 5))
+        train, val = stratified_holdout(ds, 0.25, seed=2)
+        assert not set(train) & set(val)
+        assert sorted(train + val) == sorted(rec.id for rec in ds.subjects)
+
+    def test_deterministic(self):
+        ds = two_class_dataset((7, 5))
+        assert stratified_holdout(ds, 0.25, seed=3) == stratified_holdout(ds, 0.25, seed=3)
+        assert stratified_holdout(ds, 0.25, seed=3) != stratified_holdout(ds, 0.25, seed=4)
+
+    @pytest.mark.parametrize("per_class, fraction", [((3, 3), 0.0), ((3, 3), 1.0), ((1, 1), 0.25)])
+    def test_empty_side_is_too_few_subjects(self, per_class, fraction):
+        with pytest.raises(TooFewSubjects):
+            stratified_holdout(two_class_dataset(per_class), fraction, seed=0)
 
 
 class TestMixup:

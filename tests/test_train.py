@@ -1,5 +1,8 @@
 """Optimizer, schedule, and training-loop contracts."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -308,6 +311,32 @@ class TestCheckpointContainer:
             del params.tensors["aux.b"]
         path = save_checkpoint(tmp_path / "c.bin", config, params)
         with pytest.raises(ShapeMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "defect", ["short file", "no tensor index", "invalid config", "offset into header"]
+    )
+    def test_malformed_container_is_parse_error(self, defect, tmp_path):
+        from hierconn.errors import ParseError
+
+        config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+        path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 5))
+        blob = path.read_bytes()
+        if defect == "short file":
+            blob = blob[:10]
+        else:
+            (header_len,) = struct.unpack("<Q", blob[8:16])
+            header = json.loads(blob[16 : 16 + header_len])
+            if defect == "no tensor index":
+                del header["tensors"]
+            elif defect == "invalid config":
+                header["config"]["heads"] = 3  # d=8 does not split into 3 heads
+            else:
+                header["tensors"][0]["offset"] = -8
+            text = json.dumps(header, sort_keys=True).encode()
+            blob = blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len :]
+        path.write_bytes(blob)
+        with pytest.raises(ParseError):
             load_checkpoint(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
