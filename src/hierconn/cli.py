@@ -125,6 +125,8 @@ def _load_synth_spec(path: str, seed_override: int | None = None) -> SyntheticSp
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     if seed_override is not None:
         doc["seed"] = seed_override
     try:

@@ -303,11 +303,16 @@ class TestExitCodes:
         assert code == 0
         assert '"heads": 2,' in (out / "effective_config.json").read_text()
 
-    def test_malformed_synth_spec_field_is_data_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
+    @pytest.mark.parametrize("doc", [
+        {
             "n": 12, "subject_count": 16, "planted_subgraphs": [["a", 2]],
             "signal_strength": 0.6, "noise_level": 0.12, "seed": 7,
-        }))
-        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ds")]) == 2
+        },
+        [12, 16],
+    ])
+    def test_malformed_synth_spec_is_data_error(self, doc, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = main(["synth", "--spec", str(spec), "--seed", "3", "--out", str(tmp_path / "ds")])
+        assert code == 2
         assert str(spec) in capsys.readouterr().err
