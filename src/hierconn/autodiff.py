@@ -274,12 +274,24 @@ class Tensor:
     def gelu(self):
         """Exact GELU: x * Phi(x) with the Gaussian CDF via erf."""
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        # 0.5 * (1 + erf(x / sqrt(2))), built in one buffer (asarray: a 0-d
+        # product is a numpy scalar, which cannot be written in place)
+        cdf = np.asarray(x * _INV_SQRT2)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
 
         def backward(g):
             if self.requires_grad:
-                pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-                self._accumulate(g * (cdf + x * pdf))
+                # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
+                t = np.asarray(x * -0.5)
+                t *= x
+                np.exp(t, out=t)
+                t *= _INV_SQRT2PI
+                t *= x
+                t += cdf
+                t *= g
+                self._accumulate(t)
 
         return Tensor._make(x * cdf, (self,), backward)
 
@@ -379,7 +391,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     scale = 1.0 / x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + eps)
-    xhat = centered / std
+    centered /= std
+    xhat = centered
 
     def backward(g):
         if x.requires_grad:
@@ -392,7 +405,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
 
-    return Tensor._make(xhat * gain.data + bias.data, (x, gain, bias), backward)
+    out = xhat * gain.data
+    out += bias.data
+    return Tensor._make(out, (x, gain, bias), backward)
 
 
 def attention(
@@ -405,7 +420,8 @@ def attention(
     Returns the output and the probabilities before the mask.
     """
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q.data @ k.data.swapaxes(-1, -2)) * scale
+    scores = q.data @ k.data.swapaxes(-1, -2)
+    scores *= scale
     if activation == "softmax":
         p = softmax(scores, axis=-1)
     elif activation == "sparsemax":

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ParseError
 from .model import ModelConfig, ModelParams
 
@@ -41,7 +42,7 @@ def save_checkpoint(
         "tensors": tensors,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
         f.write(header_bytes)

@@ -16,6 +16,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+from .atomic import atomic_open
 from .checkpoint import load_checkpoint
 from .config import CONFIG_KEYS, OUT_ROOT_ENV, RunConfig, parse_config
 from .data import (
@@ -149,7 +150,8 @@ def _load_configured_dataset(cfg: RunConfig):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_train(args) -> int:
@@ -194,8 +196,9 @@ def _cmd_evaluate(args) -> int:
     )
     _write_json(run_dir / "cv_report.json", report.to_dict())
     table = format_metric_table(report)
-    (run_dir / "metrics_table.txt").write_text(table)
-    with open(run_dir / "predictions.csv", "w") as f:
+    with atomic_open(run_dir / "metrics_table.txt") as f:
+        f.write(table)
+    with atomic_open(run_dir / "predictions.csv") as f:
         f.write("subject_id,fold,label,score\n")
         for p in report.predictions:
             f.write(f"{p['subject_id']},{p['fold']},{p['label']},{p['score']!r}\n")

@@ -50,6 +50,14 @@ class RunConfig:
     folds: int = field(default=5, metadata={"help": "cross-validation folds"})
     val_fraction: float = field(default=0.25, metadata={"help": "held-out validation share"})
 
+    def __post_init__(self):
+        if self.folds < 2:
+            raise InvalidValue("folds", f"need at least 2 folds, got {self.folds}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise InvalidValue(
+                "val_fraction", f"must lie strictly between 0 and 1, got {self.val_fraction}"
+            )
+
     def model_config(self, n_from_data: int) -> ModelConfig:
         pinned = self.model["n"]
         if pinned is not None and pinned != n_from_data:

@@ -2,8 +2,9 @@
 
 Aggregates the final block's node-to-subgraph attention over a cohort into
 soft/hard node assignments, maps them onto reference atlas labels, and ranks
-subgraph tokens by their share of the graph token's attention. One forward
-pass over the cohort (``cohort_traces``) feeds every one of these readings.
+subgraph tokens by their share of the graph token's attention. One eval pass
+over the cohort (``cohort_traces``, ``EVAL_CHUNK`` subjects per forward) feeds
+every one of these readings.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import no_grad
 from .data import DatasetManifest, SubjectRecord, stack_records
 from .errors import EmptyDataset, MissingAtlasLabels, ShapeMismatch
-from .model import ModelConfig, ModelParams, forward_batch
+from .model import EVAL_CHUNK, ModelConfig, ModelParams, forward_batch
 
 SUPPORT_THRESHOLD = 0.01  # sparse attention leaves mostly exact zeros; this trims dust
 
@@ -62,7 +64,7 @@ def select_cohort(
 
 @dataclass(frozen=True)
 class CohortTraces:
-    """What interpretation reads off one eval-mode forward over a cohort."""
+    """What interpretation reads off an eval-mode pass over a cohort."""
 
     pool_attention: np.ndarray  # (B, K, n) final-block pool attention
     graph_attention: np.ndarray  # (B, K+1) graph attention, self-weight first
@@ -72,19 +74,26 @@ class CohortTraces:
 def cohort_traces(
     params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
 ) -> CohortTraces:
-    """Run the cohort through the model once; every reading below uses this."""
+    """Run the cohort through the model once, ``EVAL_CHUNK`` subjects at a time;
+    every reading below uses this."""
     if not records:
         raise EmptyDataset("no subjects to interpret")
     n = records[0].matrix.n
     if n != config.n:
         raise ShapeMismatch(f"cohort node count {n} != checkpoint node count {config.n}")
-    matrices, _ = stack_records(records)
+    pool, graph, tokens = [], [], []
     with no_grad():
-        out = forward_batch(matrices, params, config, mode="eval")
+        for start in range(0, len(records), EVAL_CHUNK):
+            matrices, _ = stack_records(records[start : start + EVAL_CHUNK])
+            out = forward_batch(matrices, params, config, mode="eval")
+            pool.append(out.trace.node_to_subgraph[-1])
+            graph.append(out.trace.subgraph_to_graph)
+            tokens.append(out.subgraph_tokens.data)
+            del out  # only the three readings outlive the chunk's forward
     return CohortTraces(
-        pool_attention=out.trace.node_to_subgraph[-1],
-        graph_attention=out.trace.subgraph_to_graph,
-        subgraph_tokens=out.subgraph_tokens.data,
+        pool_attention=np.concatenate(pool),
+        graph_attention=np.concatenate(graph),
+        subgraph_tokens=np.concatenate(tokens),
     )
 
 
@@ -177,7 +186,7 @@ def export_report(
     written = []
     for name, header, rows in tables:
         path = out_dir / name
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             for row in [header, *rows]:
                 f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
                 f.write("\n")

@@ -20,6 +20,10 @@ from .errors import NonFiniteActivation, ShapeMismatch
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
+# eval-mode forwards over a set of subjects (scoring, interpretation) run this
+# many subjects at a time, so their memory does not grow with the set; a
+# subject's outputs do not depend on which others share its batch
+EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)

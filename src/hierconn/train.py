@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 from scipy.special import softmax
 
+from .atomic import atomic_open
 from .autodiff import no_grad
 from .checkpoint import save_checkpoint
 from .data import SubjectRecord, mixup, stack_records
 from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch
 from .losses import LossWeights, total_loss_graph
 from .metrics import compute_metrics
-from .model import ModelConfig, ModelParams, forward_batch
+from .model import EVAL_CHUNK, ModelConfig, ModelParams, forward_batch
 
 
 EARLY_STOP_METRICS = ("auc", "acc")
@@ -151,10 +152,14 @@ def collect_gradients(params: ModelParams) -> dict[str, np.ndarray]:
 def predict_scores(
     matrices: np.ndarray, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
-    """Positive-class probability from the graph head, eval mode."""
+    """Positive-class probability from the graph head, eval mode, ``EVAL_CHUNK``
+    subjects per forward."""
+    logits = [np.empty((0, config.class_count))]  # zero subjects give zero scores
     with no_grad():
-        out = forward_batch(matrices, params, config, mode="eval")
-    return softmax(out.z_g.data, axis=-1)[:, 1]
+        for start in range(0, len(matrices), EVAL_CHUNK):
+            chunk = matrices[start : start + EVAL_CHUNK]
+            logits.append(forward_batch(chunk, params, config, mode="eval").z_g.data)
+    return softmax(np.concatenate(logits), axis=-1)[:, 1]
 
 
 def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -293,7 +298,7 @@ def fit(
 
 def write_training_log(path: str | Path, rows: list[tuple]) -> None:
     """Per-step loss breakdown; full-precision floats keep runs comparable."""
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("step,cls,aux,oc,hc,beta,total,lr\n")
         for row in rows:
             step, *floats = row

@@ -289,6 +289,37 @@ class TestExitCodes:
         assert code == 2
         assert f"config key '{path}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_fewer_than_two_folds_is_data_error(self, folds, synth_spec_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "evaluate", "--synth", str(synth_spec_file), "--out", str(out),
+            *fast_flags(tmp_path), "--folds", folds,
+        ])
+        assert code == 2
+        assert "config key 'folds'" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run directory is made
+
+    @pytest.mark.parametrize("fraction", ["-0.25", "0", "1", "1.5", "nan"])
+    def test_val_fraction_outside_open_unit_interval_is_data_error(
+        self, fraction, synth_spec_file, tmp_path, capsys
+    ):
+        out = tmp_path / "x"
+        code = main([
+            "train", "--synth", str(synth_spec_file), "--out", str(out),
+            *fast_flags(tmp_path), "--val-fraction", fraction,
+        ])
+        assert code == 2
+        assert "config key 'val_fraction'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [{"folds": 1}, {"val_fraction": 0}])
+    def test_out_of_range_values_rejected_at_parse(self, doc, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(InvalidValue):
+            parse_config(cfg)
+
     def test_integral_float_for_int_key_is_stored_as_int(self, synth_spec_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"heads": 2.0}}))
