@@ -1,4 +1,4 @@
-"""Small reverse-mode automatic differentiation engine on float64 numpy.
+"""Small reverse-mode automatic differentiation engine on numpy.
 
 Only what the token pipeline needs: broadcast arithmetic, batched matmul,
 reductions, reshapes, exp/log/sqrt, an exact-erf GELU, log-softmax-style
@@ -22,6 +22,11 @@ primitives:
   sparsemax Jacobian (Martins & Astudillo 2016) for sparsemax, where
   ``u = (g v^T) * mask``.
 
+Precision: a tensor keeps float32 data as float32 and stores anything else
+as float64, and every op computes in the dtype of its operands. Constants
+that meet tensor data are Python floats or arrays of the data's dtype, never
+float64 numpy scalars, which would promote float32 data to float64.
+
 Determinism: every op is a plain numpy expression, so two identical runs
 produce bit-identical values and gradients.
 """
@@ -29,19 +34,20 @@ produce bit-identical values and gradients.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 
 import numpy as np
 from scipy.special import erf, softmax
 
-from .sparsemax import sparsemax_rows, sparsemax_rows_backward
+from .sparsemax import float_array, sparsemax_rows, sparsemax_rows_backward
 
 # graph construction is toggled per thread so parallel folds cannot
 # disable each other's training graphs
 _thread_state = threading.local()
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _grad_enabled() -> bool:
@@ -76,7 +82,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = float_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -242,7 +248,9 @@ class Tensor:
             count = self.data.size
         else:
             count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis, keepdims=keepdims) * Tensor(
+            np.asarray(1.0 / count, dtype=self.data.dtype)
+        )
 
     # -- elementwise nonlinear -------------------------------------------------
 
@@ -419,7 +427,7 @@ def attention(
     probabilities (inverted dropout) and must have their broadcast shape.
     Returns the output and the probabilities before the mask.
     """
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
     scores = q.data @ k.data.swapaxes(-1, -2)
     scores *= scale
     if activation == "softmax":

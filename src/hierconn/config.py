@@ -7,9 +7,10 @@ sections, those of ``RunConfig`` the top-level keys. Each field holds the
 key's default, its type and the help text of its command-line flag. The CLI
 makes one flag per field, named after the field unless its metadata names
 another (``--patience``, ``--no-mixup``); metadata may also list the accepted
-choices. Two rules cover the rest: a field without a default (``model.n``,
-taken from the dataset) defaults to None and has no flag, and a section field
-named like a top-level key (``train.seed``) is set at the top level only.
+choices, and give a single-key range ("check") that parsing enforces. Two
+rules cover the rest: a field without a default (``model.n``, taken from the
+dataset) defaults to None and has no flag, and a section field named like a
+top-level key (``train.seed``) is set at the top level only.
 
 Defaults are the reference training recipe: lr 1e-4 with weight decay 1e-4
 annealed to 1e-5, 200 epochs at batch 64, K=8 subgraph tokens, d=384 with 8
@@ -30,7 +31,7 @@ from typing import get_args, get_type_hints
 from .errors import InvalidValue, ParseError, UnknownKey
 from .losses import LossWeights
 from .model import ModelConfig
-from .train import TrainConfig
+from .train import TrainConfig, check_field
 
 OUT_ROOT_ENV = "HIERCONN_OUT_ROOT"
 
@@ -144,7 +145,12 @@ def _check_type(key: ConfigKey, value):
         or (key.type is int and isinstance(value, float) and not value.is_integer())
     ):
         raise InvalidValue(key.path, f"expected {expected}, got {value!r}")
-    return key.type(value)
+    value = key.type(value)
+    try:
+        check_field(key.spec, value)
+    except ValueError as exc:
+        raise InvalidValue(key.path, str(exc)) from exc
+    return value
 
 
 def _set(effective: dict, path: str, value) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     InvalidSpec,
     InvariantViolation,
@@ -234,9 +235,10 @@ def save_matrix(path: str | Path, values: np.ndarray) -> None:
     n = values.shape[0]
     path = Path(path)
     if path.suffix == ".csv":
-        np.savetxt(path, values, delimiter=",", fmt="%.17g")
+        with atomic_open(path) as f:
+            np.savetxt(f, values, delimiter=",", fmt="%.17g")
         return
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MATRIX_MAGIC)
         f.write(struct.pack("<II", n, MATRIX_DTYPE_F64_LE))
         f.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
@@ -349,7 +351,8 @@ def save_dataset(ds: DatasetManifest, out_dir: str | Path, file_format: str = "b
         "subjects": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_open(manifest_path) as f:
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 

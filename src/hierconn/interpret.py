@@ -3,8 +3,8 @@
 Aggregates the final block's node-to-subgraph attention over a cohort into
 soft/hard node assignments, maps them onto reference atlas labels, and ranks
 subgraph tokens by their share of the graph token's attention. One eval pass
-over the cohort (``cohort_traces``, ``EVAL_CHUNK`` subjects per forward) feeds
-every one of these readings.
+over the cohort (``cohort_traces``, ``EVAL_CHUNK`` subjects per forward in
+``EVAL_DTYPE``, read out as float64) feeds every one of these readings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .atomic import atomic_open
 from .autodiff import no_grad
 from .data import DatasetManifest, SubjectRecord, stack_records
 from .errors import EmptyDataset, MissingAtlasLabels, ShapeMismatch
-from .model import EVAL_CHUNK, ModelConfig, ModelParams, forward_batch
+from .model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
 
 SUPPORT_THRESHOLD = 0.01  # sparse attention leaves mostly exact zeros; this trims dust
 
@@ -74,26 +74,29 @@ class CohortTraces:
 def cohort_traces(
     params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
 ) -> CohortTraces:
-    """Run the cohort through the model once, ``EVAL_CHUNK`` subjects at a time;
-    every reading below uses this."""
+    """Run the cohort through the model once, ``EVAL_CHUNK`` subjects at a time
+    in ``EVAL_DTYPE``; every reading below uses this, in float64."""
     if not records:
         raise EmptyDataset("no subjects to interpret")
     n = records[0].matrix.n
     if n != config.n:
         raise ShapeMismatch(f"cohort node count {n} != checkpoint node count {config.n}")
+    eval_params = params.astype(EVAL_DTYPE)
     pool, graph, tokens = [], [], []
     with no_grad():
         for start in range(0, len(records), EVAL_CHUNK):
             matrices, _ = stack_records(records[start : start + EVAL_CHUNK])
-            out = forward_batch(matrices, params, config, mode="eval")
+            out = forward_batch(matrices, eval_params, config, mode="eval")
             pool.append(out.trace.node_to_subgraph[-1])
             graph.append(out.trace.subgraph_to_graph)
             tokens.append(out.subgraph_tokens.data)
             del out  # only the three readings outlive the chunk's forward
+    # float64 out: export_report writes values that are Python floats (as
+    # float64 values are) with .17g, and would write float32 values with str
     return CohortTraces(
-        pool_attention=np.concatenate(pool),
-        graph_attention=np.concatenate(graph),
-        subgraph_tokens=np.concatenate(tokens),
+        pool_attention=np.concatenate(pool, dtype=np.float64),
+        graph_attention=np.concatenate(graph, dtype=np.float64),
+        subgraph_tokens=np.concatenate(tokens, dtype=np.float64),
     )
 
 

@@ -7,6 +7,10 @@ subgraph tokens by softmax attention. Every attention stage is followed by
 its own feed-forward sublayer, post-norm throughout. The classifier reads
 the concatenation of the graph token with mean-pooled subgraph and node
 tokens; an auxiliary head reads mean-pooled node tokens alone.
+
+A forward computes in the dtype of the parameters it is given: training and
+gradient checks pass the float64 master tensors, eval-mode inference passes
+an ``EVAL_DTYPE`` copy of them (``ModelParams.astype``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ INIT_STD = 0.02
 # many subjects at a time, so their memory does not grow with the set; a
 # subject's outputs do not depend on which others share its batch
 EVAL_CHUNK = 16
+# eval-mode forwards compute in single precision; their results are cast back
+# to float64 where they leave the forward
+EVAL_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,10 @@ class ModelParams:
         """The parameters of ``config``, holding ``arrays`` (not copied)."""
         _check_state(arrays, {name: shape for name, (shape, _) in param_specs(config).items()})
         return cls({name: Tensor(value, requires_grad=True) for name, value in arrays.items()})
+
+    def astype(self, dtype) -> "ModelParams":
+        """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards."""
+        return ModelParams({name: Tensor(t.data.astype(dtype)) for name, t in self.tensors.items()})
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -220,10 +231,10 @@ def _attention(
     activation: str,
     train: bool,
     rng,
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
+) -> tuple[Tensor, np.ndarray]:
     """One attention sublayer: project, attend, merge, output-project, post-norm.
 
-    Returns (normed output, head-mean attention, per-head attention).
+    Returns (normed output, per-head attention).
     """
     p = params
 
@@ -240,7 +251,7 @@ def _attention(
     pooled, per_head = attention(q, key, value, activation, mask)
     out = linear(_merge_heads(pooled), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     normed = layer_norm(residual_src + out, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"], LN_EPS)
-    return normed, per_head.mean(axis=-3), per_head
+    return normed, per_head
 
 
 def _ffn(x: Tensor, params: ModelParams, config: ModelConfig, prefix: str, *, train: bool, rng) -> Tensor:
@@ -261,7 +272,7 @@ def embed_nodes(matrices, params: ModelParams, config: ModelConfig) -> Tensor:
 def node_to_node(x, params: ModelParams, config: ModelConfig, layer: int, *, train=False, rng=None) -> Tensor:
     """Standard multi-head self-attention over node tokens, post-norm."""
     x = as_tensor(x)
-    out, _, _ = _attention(
+    out, _ = _attention(
         x, x, x, params, config, f"layers.{layer}.node_attn",
         activation="softmax", train=train, rng=rng,
     )
@@ -278,11 +289,11 @@ def node_to_subgraph(
     from the surrounding attention plumbing.
     """
     x_sg, x_n = as_tensor(x_sg), as_tensor(x_n)
-    out, head_mean, per_head = _attention(
+    out, per_head = _attention(
         x_sg, x_n, x_sg, params, config, f"layers.{layer}.pool_attn",
         activation=activation, train=train, rng=rng,
     )
-    return _check_finite(f"layers.{layer}.pool_attn", out), head_mean, per_head
+    return _check_finite(f"layers.{layer}.pool_attn", out), per_head.mean(axis=-3), per_head
 
 
 def subgraph_to_graph(
@@ -293,14 +304,14 @@ def subgraph_to_graph(
     batch = x_sg.shape[0]
     x_g_b = x_g.broadcast_to((batch,) + tuple(x_g.shape[1:]))
     kv = concat([x_g_b, x_sg], axis=1)
-    out, head_mean, per_head = _attention(
+    out, per_head = _attention(
         x_g_b, kv, x_g_b, params, config, "graph_attn",
         activation="softmax", train=train, rng=rng,
     )
     # single query row: (B, 1, K+1) -> (B, K+1)
     return (
         _check_finite("graph_attn", out),
-        head_mean[..., 0, :],
+        per_head.mean(axis=-3)[..., 0, :],
         per_head[..., 0, :],
     )
 
@@ -313,11 +324,12 @@ def forward_batch(
     rng=None,
     trace_heads: bool = False,
 ) -> ForwardOutput:
-    """Full pipeline over a (B, n, n) stack of matrices."""
+    """Full pipeline over a (B, n, n) stack of matrices, computed in the
+    parameters' dtype."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    matrices = np.asarray(matrices, dtype=np.float64)
+    matrices = np.asarray(matrices, dtype=params["embed.w"].data.dtype)
     if matrices.ndim != 3:
         raise ShapeMismatch(f"expected (B, n, n) matrices, got {matrices.shape}")
     trace = AttentionTrace(

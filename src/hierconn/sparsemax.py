@@ -5,6 +5,9 @@ analytic Jacobian of the projection, which on the support S is
 ``J_ij = delta_ij - 1/|S|`` and zero elsewhere. Both are implemented once,
 over the last axis (the form the attention stages use); the single-vector
 forms of the public contract wrap them.
+
+Rows are projected in the precision they arrive in: float32 scores stay
+float32 (eval forwards), anything else is computed in float64.
 """
 
 from __future__ import annotations
@@ -29,6 +32,13 @@ class SimplexProjection:
     threshold: float
 
 
+def float_array(values) -> np.ndarray:
+    """``values`` as an array: float32 arrays are kept as they are, anything
+    else becomes float64."""
+    values = np.asarray(values)
+    return values if values.dtype == np.float32 else values.astype(np.float64, copy=False)
+
+
 def _threshold_lastaxis(z: np.ndarray) -> np.ndarray:
     """Per-row projection threshold tau over the last axis of ``z``."""
     m = z.shape[-1]
@@ -36,12 +46,13 @@ def _threshold_lastaxis(z: np.ndarray) -> np.ndarray:
     # projection itself deterministic
     zs = np.flip(np.sort(z, axis=-1), axis=-1)
     cumulative = np.cumsum(zs, axis=-1) - 1.0
-    ks = np.arange(1, m + 1, dtype=np.float64)
+    ks = np.arange(1, m + 1, dtype=z.dtype)
     # support size = largest k with k*z_(k) > cumsum_k - strict inequality,
     # true on a prefix, false after
     support_size = np.sum(zs * ks > cumulative, axis=-1, keepdims=True)
     gathered = np.take_along_axis(cumulative, support_size - 1, axis=-1)
-    return gathered / support_size
+    # divide in z's precision: an int64 divisor would promote float32 to float64
+    return gathered / support_size.astype(z.dtype)
 
 
 def sparsemax_forward(z: np.ndarray) -> SimplexProjection:
@@ -70,7 +81,7 @@ def sparsemax_backward(proj: SimplexProjection, upstream: np.ndarray) -> np.ndar
 
 def sparsemax_rows(scores: np.ndarray) -> np.ndarray:
     """Sparsemax applied independently over the last axis of ``scores``."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = float_array(scores)
     if scores.shape[-1] == 0:
         raise EmptyVector("cannot project rows of length 0")
     if not np.all(np.isfinite(scores)):

@@ -5,7 +5,7 @@ metric, and bit-reproducible checkpoints."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +18,21 @@ from .data import SubjectRecord, mixup, stack_records
 from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch
 from .losses import LossWeights, total_loss_graph
 from .metrics import compute_metrics
-from .model import EVAL_CHUNK, ModelConfig, ModelParams, forward_batch
+from .model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
 
 
 EARLY_STOP_METRICS = ("auc", "acc")
+# single-key ranges, as field metadata "check": (predicate, rule); config parse
+# checks them key by key, before any run directory is made
+_POSITIVE = (lambda v: v > 0, "> 0")
+_DECAY = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
+def check_field(spec: Field, value) -> None:
+    """Raise ValueError unless ``value`` meets the field's "check" metadata."""
+    check = spec.metadata.get("check")
+    if check is not None and not check[0](value):
+        raise ValueError(f"{spec.name} must be {check[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +42,12 @@ class TrainConfig:
     lr: float = field(default=1e-4, metadata={"help": "initial learning rate"})
     weight_decay: float = field(default=1e-4, metadata={"help": "decoupled weight decay"})
     lr_min: float = field(default=1e-5, metadata={"help": "final cosine-annealed learning rate"})
-    adam_beta1: float = field(default=0.9, metadata={"help": "first-moment decay"})
-    adam_beta2: float = field(default=0.999, metadata={"help": "second-moment decay"})
+    adam_beta1: float = field(
+        default=0.9, metadata={"help": "first-moment decay", "check": _DECAY}
+    )
+    adam_beta2: float = field(
+        default=0.999, metadata={"help": "second-moment decay", "check": _DECAY}
+    )
     adam_eps: float = field(default=1e-8, metadata={"help": "optimizer epsilon"})
     early_stop_patience: int = field(
         default=30, metadata={"help": "early-stop patience; 0 disables", "flag": "--patience"}
@@ -45,10 +60,14 @@ class TrainConfig:
     mixup_enabled: bool = field(
         default=True, metadata={"help": "train without mixup", "flag": "--no-mixup"}
     )
-    mixup_alpha: float = field(default=1.0, metadata={"help": "mixup Beta(a, a); 1.0 is uniform"})
+    mixup_alpha: float = field(
+        default=1.0, metadata={"help": "mixup Beta(a, a); 1.0 is uniform", "check": _POSITIVE}
+    )
     seed: int = 0
 
     def __post_init__(self):
+        for spec in fields(self):
+            check_field(spec, getattr(self, spec.name))
         if not self.lr > self.lr_min > 0:
             raise ValueError("need lr > lr_min > 0")
         if self.batch_size < 1:
@@ -153,13 +172,14 @@ def predict_scores(
     matrices: np.ndarray, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
     """Positive-class probability from the graph head, eval mode, ``EVAL_CHUNK``
-    subjects per forward."""
-    logits = [np.empty((0, config.class_count))]  # zero subjects give zero scores
+    subjects per forward in ``EVAL_DTYPE``; the softmax runs in float64."""
+    eval_params = params.astype(EVAL_DTYPE)
+    logits = [np.empty((0, config.class_count), EVAL_DTYPE)]  # zero subjects give zero scores
     with no_grad():
         for start in range(0, len(matrices), EVAL_CHUNK):
             chunk = matrices[start : start + EVAL_CHUNK]
-            logits.append(forward_batch(chunk, params, config, mode="eval").z_g.data)
-    return softmax(np.concatenate(logits), axis=-1)[:, 1]
+            logits.append(forward_batch(chunk, eval_params, config, mode="eval").z_g.data)
+    return softmax(np.concatenate(logits, dtype=np.float64), axis=-1)[:, 1]
 
 
 def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

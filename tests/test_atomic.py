@@ -5,14 +5,17 @@ previous bytes, and no temporary file behind; a write that succeeds produces
 the same bytes as a plain ``open``.
 """
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
+import hierconn.atomic
 from hierconn.atomic import atomic_open
 from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.cli import main
+from hierconn.data import SyntheticSpec, generate_synthetic, load_matrix, save_dataset
 from hierconn.interpret import SubgraphImportance, SubnetworkAssignment, export_report
 from hierconn.model import ModelConfig, init_params
 from hierconn.train import write_training_log
@@ -116,3 +119,45 @@ def test_cli_run_leaves_no_temp_files(tmp_path):
     assert not list(out.rglob("*.tmp"))
     assert {"cv_report.json", "metrics_table.txt", "predictions.csv",
             "effective_config.json"} <= {p.name for p in out.iterdir()}
+
+
+class DiskFull:
+    """A file that takes one write and fails the next, as a full disk would."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def write(self, data):
+        if self.writes == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes += 1
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.f.__exit__(*exc)
+
+
+@pytest.mark.parametrize("file_format, suffix", [("bin", ".mat"), ("csv", ".csv")])
+def test_failed_dataset_write_leaves_no_partial_matrix(tmp_path, monkeypatch, file_format, suffix):
+    """The disk fills during the second matrix: the first stays whole, the
+    second and the manifest are absent, and no temporary file is left."""
+    ds = generate_synthetic(SyntheticSpec(
+        n=6, subject_count=4, planted_subgraphs=[(1, 2, 3)],
+        signal_strength=0.5, noise_level=0.1, seed=2,
+    ))
+    opened = []
+
+    def filling_open(path, mode="r"):
+        opened.append(path)
+        f = open(path, mode)
+        return DiskFull(f) if len(opened) == 2 else f
+
+    monkeypatch.setattr(hierconn.atomic, "open", filling_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_dataset(ds, tmp_path, file_format=file_format)
+    first = ds.subjects[0].id + suffix
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first]
+    assert np.array_equal(load_matrix(tmp_path / first), ds.subjects[0].matrix.values)

@@ -1,8 +1,8 @@
 """Eval-mode inference runs in fixed chunks of ``EVAL_CHUNK`` subjects.
 
 ``predict_scores`` and ``cohort_traces`` must return exactly what one
-whole-batch eval forward returns, and their memory must not grow with the
-number of subjects.
+whole-batch eval forward in ``EVAL_DTYPE`` returns, and their memory must not
+grow with the number of subjects.
 """
 
 import math
@@ -17,7 +17,7 @@ import hierconn.train
 from hierconn.autodiff import no_grad
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
-from hierconn.model import EVAL_CHUNK, ModelConfig, forward_batch, init_params
+from hierconn.model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, forward_batch, init_params
 from hierconn.train import predict_scores
 
 SIZES = (1, 15, 16, 17, 53)
@@ -40,7 +40,7 @@ def setup():
 def whole_batch(records, params, config):
     matrices, _ = stack_records(records)
     with no_grad():
-        return forward_batch(matrices, params, config, mode="eval")
+        return forward_batch(matrices, params.astype(EVAL_DTYPE), config, mode="eval")
 
 
 def test_chunk_size_is_sixteen():
@@ -51,7 +51,8 @@ def test_chunk_size_is_sixteen():
 def test_predict_scores_equals_whole_batch_forward(setup, size):
     config, params, records = setup
     matrices, _ = stack_records(records[:size])
-    expected = softmax(whole_batch(records[:size], params, config).z_g.data, axis=-1)[:, 1]
+    logits = whole_batch(records[:size], params, config).z_g.data.astype(np.float64)
+    expected = softmax(logits, axis=-1)[:, 1]
     assert np.array_equal(predict_scores(matrices, params, config), expected)
 
 

@@ -313,7 +313,28 @@ class TestExitCodes:
         assert "config key 'val_fraction'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc", [{"folds": 1}, {"val_fraction": 0}])
+    @pytest.mark.parametrize("key, value", [
+        ("mixup_alpha", "0"), ("mixup_alpha", "-1"), ("mixup_alpha", "nan"),
+        ("adam_beta1", "1"), ("adam_beta2", "1"), ("adam_beta2", "-0.1"),
+    ])
+    def test_out_of_range_optimizer_or_mixup_setting_is_data_error(
+        self, key, value, synth_spec_file, tmp_path, capsys
+    ):
+        out = tmp_path / "x"
+        code = main([
+            "train", "--synth", str(synth_spec_file), "--out", str(out),
+            *fast_flags(tmp_path), "--" + key.replace("_", "-"), value,
+        ])
+        assert code == 2
+        assert f"config key 'train.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"folds": 1}, {"val_fraction": 0},
+        {"train": {"mixup_alpha": 0}}, {"train": {"mixup_alpha": -1}},
+        {"train": {"adam_beta1": 1}}, {"train": {"adam_beta1": -0.1}},
+        {"train": {"adam_beta2": 1}}, {"train": {"adam_beta2": -0.1}},
+    ])
     def test_out_of_range_values_rejected_at_parse(self, doc, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
