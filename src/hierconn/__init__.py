@@ -28,7 +28,6 @@ from .losses import (
     classification_loss,
     hierarchical_consistency_loss,
     orthogonality_loss,
-    total_loss,
 )
 from .metrics import MetricSet, compute_metrics
 from .model import (
@@ -83,5 +82,4 @@ __all__ = [
     "sparsemax_backward",
     "sparsemax_forward",
     "stratified_kfold",
-    "total_loss",
 ]

@@ -154,21 +154,28 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_train(args) -> int:
+def _prepare_run(args, command: str):
+    """Config, dataset and the built model, train and loss sections, then the
+    run directory holding the effective config: a bad value leaves no directory."""
     cfg = parse_config(args.config, _overrides_from_args(args))
     ds = _load_configured_dataset(cfg)
-    run_dir = _resolve_run_dir(cfg.out, "train")
+    sections = cfg.model_config(ds.n), cfg.train_config(), cfg.loss_weights()
+    run_dir = _resolve_run_dir(cfg.out, command)
     _write_json(run_dir / "effective_config.json", cfg.to_dict())
+    return cfg, ds, *sections, run_dir
+
+
+def _cmd_train(args) -> int:
+    cfg, ds, model_config, train_cfg, loss_weights, run_dir = _prepare_run(args, "train")
     train_ids, val_ids = stratified_holdout(ds, cfg.val_fraction, cfg.seed)
-    model_config = cfg.model_config(ds.n)
     params = init_params(model_config, cfg.seed)
     report = fit(
         ds.subset(train_ids),
         ds.subset(val_ids),
         params,
         model_config,
-        cfg.train_config(),
-        cfg.loss_weights(),
+        train_cfg,
+        loss_weights,
         out_dir=run_dir,
     )
     _write_json(run_dir / "train_report.json", report.to_dict())
@@ -179,19 +186,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = parse_config(args.config, _overrides_from_args(args))
-    ds = _load_configured_dataset(cfg)
-    run_dir = _resolve_run_dir(cfg.out, "evaluate")
-    _write_json(run_dir / "effective_config.json", cfg.to_dict())
+    cfg, ds, model_config, train_cfg, loss_weights, run_dir = _prepare_run(args, "evaluate")
     folds = stratified_kfold(ds, k=cfg.folds, val_fraction=cfg.val_fraction, seed=cfg.seed)
-    model_config = cfg.model_config(ds.n)
-    train_cfg = cfg.train_config()
 
     def factory(fold_index: int):
         return model_config, init_params(model_config, cfg.seed + fold_index)
 
     report = run_cv(
-        ds, folds, factory, train_cfg, cfg.loss_weights(),
+        ds, folds, factory, train_cfg, loss_weights,
         out_dir=run_dir, threads=cfg.threads,
     )
     _write_json(run_dir / "cv_report.json", report.to_dict())

@@ -7,10 +7,11 @@ sections, those of ``RunConfig`` the top-level keys. Each field holds the
 key's default, its type and the help text of its command-line flag. The CLI
 makes one flag per field, named after the field unless its metadata names
 another (``--patience``, ``--no-mixup``); metadata may also list the accepted
-choices, and give a single-key range ("check") that parsing enforces. Two
-rules cover the rest: a field without a default (``model.n``, taken from the
-dataset) defaults to None and has no flag, and a section field named like a
-top-level key (``train.seed``) is set at the top level only.
+choices and give the key's range ("check"), which parsing enforces key by key
+(``errors.check_value``); building a section then checks its one cross-key
+rule. Two rules cover the rest: a field without a default (``model.n``, taken
+from the dataset) defaults to None and has no flag, and a section field named
+like a top-level key (``train.seed``) is set at the top level only.
 
 Defaults are the reference training recipe: lr 1e-4 with weight decay 1e-4
 annealed to 1e-5, 200 epochs at batch 64, K=8 subgraph tokens, d=384 with 8
@@ -28,10 +29,10 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .errors import InvalidValue, ParseError, UnknownKey
+from .errors import InvalidValue, ParseError, UnknownKey, check_fields, check_value
 from .losses import LossWeights
 from .model import ModelConfig
-from .train import TrainConfig, check_field
+from .train import TrainConfig
 
 OUT_ROOT_ENV = "HIERCONN_OUT_ROOT"
 
@@ -48,16 +49,13 @@ class RunConfig:
     )
     seed: int = field(default=0, metadata={"help": "master seed"})
     threads: int = field(default=1, metadata={"help": "worker cap; 1 guarantees determinism"})
-    folds: int = field(default=5, metadata={"help": "cross-validation folds"})
-    val_fraction: float = field(default=0.25, metadata={"help": "held-out validation share"})
+    folds: int = field(default=5, metadata={"help": "cross-validation folds", "check": ">= 2"})
+    val_fraction: float = field(
+        default=0.25, metadata={"help": "held-out validation share", "check": "in (0, 1)"}
+    )
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidValue("folds", f"need at least 2 folds, got {self.folds}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise InvalidValue(
-                "val_fraction", f"must lie strictly between 0 and 1, got {self.val_fraction}"
-            )
+        check_fields(self)
 
     def model_config(self, n_from_data: int) -> ModelConfig:
         pinned = self.model["n"]
@@ -100,7 +98,7 @@ SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights}
 
 
 def _build(section: str, values: dict):
-    """The section's dataclass from ``values``; its own checks become InvalidValue."""
+    """The section's dataclass from ``values``; its cross-key rule becomes InvalidValue."""
     try:
         return SECTIONS[section](**values)
     except ValueError as exc:
@@ -147,7 +145,7 @@ def _check_type(key: ConfigKey, value):
         raise InvalidValue(key.path, f"expected {expected}, got {value!r}")
     value = key.type(value)
     try:
-        check_field(key.spec, value)
+        check_value(key.spec, value)
     except ValueError as exc:
         raise InvalidValue(key.path, str(exc)) from exc
     return value

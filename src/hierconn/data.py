@@ -55,14 +55,6 @@ class TimeSeries:
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("time series contains NaN or infinity")
 
-    @property
-    def node_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def timepoint_count(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ConnectivityMatrix:

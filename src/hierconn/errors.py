@@ -3,7 +3,12 @@
 Two broad families matter for the CLI exit-code contract: ``DataError``
 (bad or inconsistent inputs, exit code 2) and ``NumericalError`` (runtime
 numerical failures, exit code 3). Everything derives from ``HierconnError``.
+
+A config key's valid range lives in its field's metadata: "check" names one
+of the ``RANGES`` rules, "choices" lists the accepted values.
 """
+
+from dataclasses import Field, fields
 
 
 class HierconnError(Exception):
@@ -80,6 +85,35 @@ class InvalidValue(DataError):
     def __init__(self, key_path, message):
         super().__init__(f"config key {key_path!r}: {message}")
         self.key_path = key_path
+
+
+# -- config value rules ------------------------------------------------------
+
+RANGES = {  # NaN fails every rule
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def check_value(spec: Field, value) -> None:
+    """Raise ValueError unless ``value`` meets the field's "check" and
+    "choices" metadata; None (an unset optional key) is not checked."""
+    if value is None:
+        return
+    rule = spec.metadata.get("check")
+    if rule is not None and not RANGES[rule](value):
+        raise ValueError(f"{spec.name} must be {rule}, got {value!r}")
+    choices = spec.metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{spec.name} must be one of {', '.join(choices)}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    for spec in fields(obj):
+        check_value(spec, getattr(obj, spec.name))
 
 
 # -- numerical family --------------------------------------------------------

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import no_grad
-from .losses import (
-    LossWeights,
-    beta_schedule,
-    classification_loss,
-    hierarchical_consistency_loss,
-    orthogonality_loss,
-    total_loss_graph,
-)
+from .losses import LossWeights, total_loss_graph
 from .model import ModelConfig, ModelParams, forward, init_params
 
 TINY_CONFIG = ModelConfig(n=6, d=8, heads=2, layers=1, k=3, dropout=0.0)
@@ -88,12 +81,11 @@ def _loss_value(params: ModelParams, m, target, weights, frozen_teacher) -> floa
     """Objective value with the consistency teacher pinned at the base point."""
     with no_grad():
         out = forward(m, params, TINY_CONFIG)
-        cls = classification_loss(out.z_g, target)
-        aux = classification_loss(out.z_n, target)
-        oc = orthogonality_loss(out.subgraph_tokens)
-        hc = hierarchical_consistency_loss(out.z_n, frozen_teacher, weights.tau)
-        beta = beta_schedule(GRADCHECK_STEP_INDEX, GRADCHECK_TOTAL_STEPS, weights)
-        return (cls + aux + weights.alpha * oc + beta * hc).item()
+        total, _ = total_loss_graph(
+            out, target, GRADCHECK_STEP_INDEX, GRADCHECK_TOTAL_STEPS, weights,
+            teacher=frozen_teacher,
+        )
+        return total.item()
 
 
 def run_gradcheck(

@@ -9,25 +9,24 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, log_softmax, logsumexp
-from .errors import InvalidTarget, ShapeMismatch, ZeroNormToken
+from .errors import InvalidTarget, ShapeMismatch, ZeroNormToken, check_fields
 from .model import ForwardOutput
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha: float = field(default=1.3, metadata={"help": "orthogonality weight"})
-    beta_max: float = field(default=0.2, metadata={"help": "peak consistency weight"})
+    alpha: float = field(default=1.3, metadata={"help": "orthogonality weight", "check": ">= 0"})
+    beta_max: float = field(
+        default=0.2, metadata={"help": "peak consistency weight", "check": ">= 0"}
+    )
     beta_center_fraction: float = field(
         default=0.25, metadata={"help": "share of the steps at the consistency ramp's midpoint"}
     )
     beta_slope: float = field(default=0.001, metadata={"help": "slope of the consistency ramp"})
-    tau: float = field(default=2.0, metadata={"help": "distillation temperature"})
+    tau: float = field(default=2.0, metadata={"help": "distillation temperature", "check": "> 0"})
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta_max < 0:
-            raise ValueError("alpha and beta_max must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -110,7 +109,7 @@ def hierarchical_consistency_loss(z_n, z_g, tau: float) -> Tensor:
     if teacher.shape != tuple(z_n.shape):
         raise ShapeMismatch(f"student shape {z_n.shape} != teacher shape {teacher.shape}")
     # same ops as the student path so equal logits cancel exactly
-    log_q = log_softmax(Tensor(teacher * (1.0 / tau))).detach()
+    log_q = log_softmax(Tensor(teacher * (1.0 / tau)))
     log_p = log_softmax(z_n * (1.0 / tau))
     p = log_p.exp()
     kl_rows = (p * (log_p - log_q)).sum(axis=-1, keepdims=True)
@@ -126,13 +125,14 @@ def beta_schedule(step: int, total_steps: int, w: LossWeights) -> float:
 
 
 def total_loss_graph(
-    out: ForwardOutput, target, step: int, total_steps: int, w: LossWeights
+    out: ForwardOutput, target, step: int, total_steps: int, w: LossWeights, teacher=None
 ) -> tuple[Tensor, LossBreakdown]:
-    """Differentiable total objective plus its float breakdown."""
+    """Differentiable total objective plus its float breakdown; the consistency
+    term distills toward the ``teacher`` logits, by default ``out.z_g``."""
     cls = classification_loss(out.z_g, target)
     aux = classification_loss(out.z_n, target)
     oc = orthogonality_loss(out.subgraph_tokens)
-    hc = hierarchical_consistency_loss(out.z_n, out.z_g, w.tau)
+    hc = hierarchical_consistency_loss(out.z_n, out.z_g if teacher is None else teacher, w.tau)
     beta_t = beta_schedule(step, total_steps, w)
     total = cls + aux + w.alpha * oc + beta_t * hc
     breakdown = LossBreakdown(
@@ -140,10 +140,3 @@ def total_loss_graph(
         beta_t=beta_t, total=total.item(),
     )
     return total, breakdown
-
-
-def total_loss(
-    out: ForwardOutput, target, step: int, total_steps: int, w: LossWeights
-) -> LossBreakdown:
-    _, breakdown = total_loss_graph(out, target, step, total_steps, w)
-    return breakdown

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, attention, concat, layer_norm, linear
-from .errors import NonFiniteActivation, ShapeMismatch
+from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -35,26 +35,23 @@ EVAL_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n: int  # no default: taken from the dataset, so no flag sets it
-    d: int = field(default=384, metadata={"help": "token width"})
-    heads: int = field(default=8, metadata={"help": "attention heads per stage"})
-    layers: int = field(default=2, metadata={"help": "stacked node-attention/pooling blocks"})
-    k: int = field(default=8, metadata={"help": "subgraph token count"})
-    dropout: float = field(default=0.1, metadata={"help": "dropout rate"})
-    class_count: int = field(default=2, metadata={"help": "number of classes"})
-    ffn_mult: int = field(default=4, metadata={"help": "feed-forward width as a multiple of d"})
+    n: int = field(metadata={"check": "> 0"})  # no default: taken from the dataset, so no flag
+    d: int = field(default=384, metadata={"help": "token width", "check": "> 0"})
+    heads: int = field(default=8, metadata={"help": "attention heads per stage", "check": "> 0"})
+    layers: int = field(
+        default=2, metadata={"help": "stacked node-attention/pooling blocks", "check": "> 0"}
+    )
+    k: int = field(default=8, metadata={"help": "subgraph token count", "check": ">= 2"})
+    dropout: float = field(default=0.1, metadata={"help": "dropout rate", "check": "in [0, 1)"})
+    class_count: int = field(default=2, metadata={"help": "number of classes", "check": ">= 2"})
+    ffn_mult: int = field(
+        default=4, metadata={"help": "feed-forward width as a multiple of d", "check": "> 0"}
+    )
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        check_fields(self)
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.k < 2:
-            raise ValueError("need at least 2 subgraph tokens")
-        if self.layers < 1:
-            raise ValueError("need at least 1 layer")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
 
     @property
     def d_h(self) -> int:

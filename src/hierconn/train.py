@@ -5,7 +5,7 @@ metric, and bit-reproducible checkpoints."""
 from __future__ import annotations
 
 import math
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -15,67 +15,54 @@ from .atomic import atomic_open
 from .autodiff import no_grad
 from .checkpoint import save_checkpoint
 from .data import SubjectRecord, mixup, stack_records
-from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch
+from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch, check_fields
 from .losses import LossWeights, total_loss_graph
 from .metrics import compute_metrics
 from .model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
 
 
-EARLY_STOP_METRICS = ("auc", "acc")
-# single-key ranges, as field metadata "check": (predicate, rule); config parse
-# checks them key by key, before any run directory is made
-_POSITIVE = (lambda v: v > 0, "> 0")
-_DECAY = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
-
-
-def check_field(spec: Field, value) -> None:
-    """Raise ValueError unless ``value`` meets the field's "check" metadata."""
-    check = spec.metadata.get("check")
-    if check is not None and not check[0](value):
-        raise ValueError(f"{spec.name} must be {check[1]}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = field(default=200, metadata={"help": "training epochs"})
-    batch_size: int = field(default=64, metadata={"help": "subjects per optimizer step"})
+    epochs: int = field(default=200, metadata={"help": "training epochs", "check": "> 0"})
+    batch_size: int = field(
+        default=64, metadata={"help": "subjects per optimizer step", "check": "> 0"}
+    )
     lr: float = field(default=1e-4, metadata={"help": "initial learning rate"})
-    weight_decay: float = field(default=1e-4, metadata={"help": "decoupled weight decay"})
-    lr_min: float = field(default=1e-5, metadata={"help": "final cosine-annealed learning rate"})
+    weight_decay: float = field(
+        default=1e-4, metadata={"help": "decoupled weight decay", "check": ">= 0"}
+    )
+    lr_min: float = field(
+        default=1e-5, metadata={"help": "final cosine-annealed learning rate", "check": "> 0"}
+    )
     adam_beta1: float = field(
-        default=0.9, metadata={"help": "first-moment decay", "check": _DECAY}
+        default=0.9, metadata={"help": "first-moment decay", "check": "in [0, 1)"}
     )
     adam_beta2: float = field(
-        default=0.999, metadata={"help": "second-moment decay", "check": _DECAY}
+        default=0.999, metadata={"help": "second-moment decay", "check": "in [0, 1)"}
     )
-    adam_eps: float = field(default=1e-8, metadata={"help": "optimizer epsilon"})
+    adam_eps: float = field(default=1e-8, metadata={"help": "optimizer epsilon", "check": "> 0"})
     early_stop_patience: int = field(
         default=30, metadata={"help": "early-stop patience; 0 disables", "flag": "--patience"}
     )
     early_stop_metric: str = field(
         default="auc",
-        metadata={"help": "validation metric for early stopping", "choices": EARLY_STOP_METRICS},
+        metadata={"help": "validation metric for early stopping", "choices": ("auc", "acc")},
     )
-    grad_clip_norm: float | None = field(default=None, metadata={"help": "gradient-norm cap"})
+    grad_clip_norm: float | None = field(
+        default=None, metadata={"help": "gradient-norm cap", "check": "> 0"}
+    )
     mixup_enabled: bool = field(
         default=True, metadata={"help": "train without mixup", "flag": "--no-mixup"}
     )
     mixup_alpha: float = field(
-        default=1.0, metadata={"help": "mixup Beta(a, a); 1.0 is uniform", "check": _POSITIVE}
+        default=1.0, metadata={"help": "mixup Beta(a, a); 1.0 is uniform", "check": "> 0"}
     )
     seed: int = 0
 
     def __post_init__(self):
-        for spec in fields(self):
-            check_field(spec, getattr(self, spec.name))
-        if not self.lr > self.lr_min > 0:
-            raise ValueError("need lr > lr_min > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.early_stop_metric not in EARLY_STOP_METRICS:
-            raise ValueError("early_stop_metric must be 'auc' or 'acc'")
+        check_fields(self)
+        if not self.lr > self.lr_min:
+            raise ValueError(f"need lr > lr_min, got lr={self.lr}, lr_min={self.lr_min}")
 
     def to_dict(self) -> dict:
         return asdict(self)

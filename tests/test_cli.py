@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hierconn.cli import main
-from hierconn.config import parse_config
+from hierconn.config import CONFIG_KEYS, parse_config
 from hierconn.data import load_dataset
 from hierconn.errors import InvalidValue, ParseError, UnknownKey
 
@@ -269,25 +269,31 @@ class TestExitCodes:
         ])
         assert code == 2
 
-    # keys whose default is None, or whose annotation does not admit None
+    # a value its key's type or choices do not admit (keys whose default is
+    # None, or whose annotation does not admit None), or two keys that break
+    # a cross-key rule, which names the section
     @pytest.mark.parametrize("doc, path", [
         ({"train": {"grad_clip_norm": "x"}}, "train.grad_clip_norm"),
         ({"seed": None}, "seed"),
         ({"train": {"epochs": 1.5}}, "train.epochs"),
         ({"train": {"batch_size": 2.5}}, "train.batch_size"),
         ({"folds": 2.7}, "folds"),
+        ({"train": {"early_stop_metric": "f1"}}, "train.early_stop_metric"),
+        ({"model": {"d": 8, "heads": 3}}, "model"),
+        ({"train": {"lr": 1e-4, "lr_min": 1e-4}}, "train"),
     ])
     def test_wrongly_typed_config_value_is_data_error(
         self, doc, path, synth_spec_file, tmp_path, capsys
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
         code = main([
-            "train", "--synth", str(synth_spec_file),
-            "--config", str(cfg), "--out", str(tmp_path / "x"),
+            "train", "--synth", str(synth_spec_file), "--config", str(cfg), "--out", str(out),
         ])
         assert code == 2
         assert f"config key '{path}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("folds", ["0", "1"])
     def test_fewer_than_two_folds_is_data_error(self, folds, synth_spec_file, tmp_path, capsys):
@@ -313,20 +319,27 @@ class TestExitCodes:
         assert "config key 'val_fraction'" in capsys.readouterr().err
         assert not out.exists()
 
+    # every range-checked key of the train, model and loss sections, by field name
     @pytest.mark.parametrize("key, value", [
         ("mixup_alpha", "0"), ("mixup_alpha", "-1"), ("mixup_alpha", "nan"),
         ("adam_beta1", "1"), ("adam_beta2", "1"), ("adam_beta2", "-0.1"),
+        ("epochs", "0"), ("batch_size", "0"), ("lr_min", "0"), ("weight_decay", "-1"),
+        ("adam_eps", "0"), ("adam_eps", "-1"), ("grad_clip_norm", "0"), ("grad_clip_norm", "-1"),
+        ("d", "0"), ("d", "-4"), ("heads", "0"), ("heads", "-2"), ("layers", "0"), ("k", "1"),
+        ("dropout", "1"), ("dropout", "-0.1"), ("class_count", "1"), ("ffn_mult", "0"),
+        ("alpha", "-1"), ("beta_max", "-1"), ("tau", "0"),
     ])
     def test_out_of_range_optimizer_or_mixup_setting_is_data_error(
         self, key, value, synth_spec_file, tmp_path, capsys
     ):
+        (path,) = [p for p in CONFIG_KEYS if p.rpartition(".")[2] == key]
         out = tmp_path / "x"
         code = main([
             "train", "--synth", str(synth_spec_file), "--out", str(out),
-            *fast_flags(tmp_path), "--" + key.replace("_", "-"), value,
+            *fast_flags(tmp_path), CONFIG_KEYS[path].flag, value,
         ])
         assert code == 2
-        assert f"config key 'train.{key}'" in capsys.readouterr().err
+        assert f"config key '{path}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
@@ -334,6 +347,13 @@ class TestExitCodes:
         {"train": {"mixup_alpha": 0}}, {"train": {"mixup_alpha": -1}},
         {"train": {"adam_beta1": 1}}, {"train": {"adam_beta1": -0.1}},
         {"train": {"adam_beta2": 1}}, {"train": {"adam_beta2": -0.1}},
+        {"model": {"n": 0}}, {"model": {"heads": 0}}, {"model": {"d": -4}},
+        {"model": {"ffn_mult": 0}}, {"model": {"class_count": 1}}, {"model": {"k": 1}},
+        {"model": {"layers": 0}}, {"model": {"dropout": 1}},
+        {"train": {"epochs": 0}}, {"train": {"batch_size": 0}}, {"train": {"lr_min": 0}},
+        {"train": {"weight_decay": -1}}, {"train": {"adam_eps": 0}},
+        {"train": {"grad_clip_norm": 0}}, {"train": {"early_stop_metric": "f1"}},
+        {"loss": {"alpha": -1}}, {"loss": {"beta_max": -1}}, {"loss": {"tau": 0}},
     ])
     def test_out_of_range_values_rejected_at_parse(self, doc, tmp_path):
         cfg = tmp_path / "cfg.json"

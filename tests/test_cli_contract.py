@@ -1,5 +1,5 @@
-"""Frozen command-line contract: every subcommand's options and the default
-configuration document.
+"""Frozen command-line contract: every subcommand's options, the default
+configuration document and each key's value rule.
 
 Each option is recorded as (option strings, type, default, choices, action,
 required); ``dest`` names are internal and left out. A change here changes
@@ -12,7 +12,7 @@ import json
 import pytest
 
 from hierconn.cli import build_parser
-from hierconn.config import parse_config
+from hierconn.config import CONFIG_KEYS, parse_config
 
 HELP = (("-h", "--help"), None, "==SUPPRESS==", None, "_HelpAction", False)
 
@@ -101,6 +101,19 @@ DEFAULT_DOCUMENT = {
     "val_fraction": 0.25,
 }
 
+# each key's "check" rule text or "choices", from its field metadata
+VALUE_RULES = {
+    "folds": ">= 2", "val_fraction": "in (0, 1)",
+    "model.n": "> 0", "model.d": "> 0", "model.heads": "> 0", "model.layers": "> 0",
+    "model.k": ">= 2", "model.dropout": "in [0, 1)", "model.class_count": ">= 2",
+    "model.ffn_mult": "> 0",
+    "train.epochs": "> 0", "train.batch_size": "> 0", "train.weight_decay": ">= 0",
+    "train.lr_min": "> 0", "train.adam_beta1": "in [0, 1)", "train.adam_beta2": "in [0, 1)",
+    "train.adam_eps": "> 0", "train.early_stop_metric": ("auc", "acc"),
+    "train.grad_clip_norm": "> 0", "train.mixup_alpha": "> 0",
+    "loss.alpha": ">= 0", "loss.beta_max": ">= 0", "loss.tau": "> 0",
+}
+
 
 def _options(parser: argparse.ArgumentParser) -> list[tuple]:
     return sorted(
@@ -138,3 +151,13 @@ def test_default_config_document():
     doc = parse_config(None).to_dict()
     assert doc == DEFAULT_DOCUMENT
     assert json.dumps(doc, sort_keys=True) == json.dumps(DEFAULT_DOCUMENT, sort_keys=True)
+
+
+def test_value_rules():
+    rules = {}
+    for path, key in CONFIG_KEYS.items():
+        if "check" in key.spec.metadata:
+            rules[path] = key.spec.metadata["check"]
+        if "choices" in key.spec.metadata:
+            rules[path] = key.spec.metadata["choices"]
+    assert rules == VALUE_RULES

@@ -1,8 +1,9 @@
-"""Every module-level name in the package is used somewhere.
+"""Every module-level name and method in the package is used somewhere.
 
-A def, class or assignment at the top level of a ``src/hierconn`` module
-whose name appears nowhere else as a word in ``src/``, ``tests/`` or
-``perfbench/`` is dead code. The check only reads those files.
+A def, class or assignment at the top level of a ``src/hierconn`` module, or
+a def in a top-level class body, whose name appears nowhere else as a word in
+``src/``, ``tests/`` or ``perfbench/`` is dead code. The check only reads
+those files.
 """
 
 import ast
@@ -15,7 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def module_level_names(tree: ast.Module):
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
+            yield node.name
+            yield from (n.name for n in node.body if isinstance(n, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
             yield node.name
         elif isinstance(node, ast.Assign):
             for target in node.targets:

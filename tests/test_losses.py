@@ -14,7 +14,6 @@ from hierconn.losses import (
     classification_loss,
     hierarchical_consistency_loss,
     orthogonality_loss,
-    total_loss,
     total_loss_graph,
 )
 from hierconn.model import ModelConfig, forward, init_params
@@ -202,12 +201,12 @@ class TestTotalLoss:
 
     def test_weight_degeneracy(self):
         w = LossWeights(alpha=0.0, beta_max=0.0)
-        b = total_loss(self.out, 1, 0, 100, w)
+        b = total_loss_graph(self.out, 1, 0, 100, w)[1]
         assert b.total == pytest.approx(b.cls + b.aux, abs=1e-12)
 
     def test_linearity_of_combination(self):
         w = LossWeights()
-        b = total_loss(self.out, 1, 25, 100, w)
+        b = total_loss_graph(self.out, 1, 25, 100, w)[1]
         assert b.total == pytest.approx(
             b.cls + b.aux + w.alpha * b.oc + b.beta_t * b.hc, abs=1e-9
         )
@@ -215,7 +214,7 @@ class TestTotalLoss:
 
     def test_components_match_standalone_calls(self):
         w = LossWeights()
-        b = total_loss(self.out, 0, 25, 100, w)
+        b = total_loss_graph(self.out, 0, 25, 100, w)[1]
         assert b.cls == pytest.approx(classification_loss(self.out.z_g, 0).item(), abs=1e-12)
         assert b.oc == pytest.approx(orthogonality_loss(self.out.subgraph_tokens).item(), abs=1e-12)
         assert b.hc == pytest.approx(

@@ -314,7 +314,8 @@ class TestCheckpointContainer:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "defect", ["short file", "no tensor index", "invalid config", "offset into header"]
+        "defect",
+        ["short file", "no tensor index", "invalid config", "zero heads", "offset into header"],
     )
     def test_malformed_container_is_parse_error(self, defect, tmp_path):
         from hierconn.errors import ParseError
@@ -331,6 +332,8 @@ class TestCheckpointContainer:
                 del header["tensors"]
             elif defect == "invalid config":
                 header["config"]["heads"] = 3  # d=8 does not split into 3 heads
+            elif defect == "zero heads":
+                header["config"]["heads"] = 0
             else:
                 header["tensors"][0]["offset"] = -8
             text = json.dumps(header, sort_keys=True).encode()
