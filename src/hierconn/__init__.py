@@ -35,7 +35,6 @@ from .model import (
     ForwardOutput,
     ModelConfig,
     ModelParams,
-    forward,
     forward_batch,
     init_params,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "compute_pcc",
     "cosine_lr",
     "fit",
-    "forward",
     "forward_batch",
     "generate_synthetic",
     "hierarchical_consistency_loss",

@@ -315,12 +315,10 @@ class Tensor:
 
     # -- backward pass --------------------------------------------------------
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
-        """Reverse sweep from this node, accumulating into leaf ``.grad``."""
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed needs a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self) -> None:
+        """Reverse sweep from this scalar node, accumulating into leaf ``.grad``."""
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar output")
         # iterative topological order (graphs can be deep at training scale)
         order: list[Tensor] = []
         state: dict[int, int] = {}
@@ -338,7 +336,7 @@ class Tensor:
                 if mark == 1:
                     state[id(node)] = 2
                     order.append(node)
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self.grad = np.ones_like(self.data, dtype=np.float64)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

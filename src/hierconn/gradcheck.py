@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .losses import LossWeights, total_loss_graph
-from .model import ModelConfig, ModelParams, forward, init_params
+from .model import ModelConfig, ModelParams, forward_batch, init_params
 
 TINY_CONFIG = ModelConfig(n=6, d=8, heads=2, layers=1, k=3, dropout=0.0)
 DEFAULT_STEP = 1e-5
@@ -70,17 +70,17 @@ def _fixture(seed: int):
     np.fill_diagonal(m, 1.0)
     target = 1
     weights = LossWeights()
-    return params, m, target, weights
+    return params, m[None], target, weights
 
 
 GRADCHECK_STEP_INDEX = 100
 GRADCHECK_TOTAL_STEPS = 1000
 
 
-def _loss_value(params: ModelParams, m, target, weights, frozen_teacher) -> float:
+def _loss_value(params: ModelParams, matrices, target, weights, frozen_teacher) -> float:
     """Objective value with the consistency teacher pinned at the base point."""
     with no_grad():
-        out = forward(m, params, TINY_CONFIG)
+        out = forward_batch(matrices, params, TINY_CONFIG)
         total, _ = total_loss_graph(
             out, target, GRADCHECK_STEP_INDEX, GRADCHECK_TOTAL_STEPS, weights,
             teacher=frozen_teacher,
@@ -88,14 +88,10 @@ def _loss_value(params: ModelParams, m, target, weights, frozen_teacher) -> floa
         return total.item()
 
 
-def run_gradcheck(
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> GradcheckReport:
-    params, m, target, weights = _fixture(seed)
+def run_gradcheck(seed: int = 0, threshold: float = DEFAULT_THRESHOLD) -> GradcheckReport:
+    params, matrices, target, weights = _fixture(seed)
     params.zero_grad()
-    out = forward(m, params, TINY_CONFIG)
+    out = forward_batch(matrices, params, TINY_CONFIG)
     total, _ = total_loss_graph(
         out, target, GRADCHECK_STEP_INDEX, GRADCHECK_TOTAL_STEPS, weights
     )
@@ -110,12 +106,12 @@ def run_gradcheck(
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
-            f_plus = _loss_value(params, m, target, weights, frozen_teacher)
-            flat[i] = original - step
-            f_minus = _loss_value(params, m, target, weights, frozen_teacher)
+            flat[i] = original + DEFAULT_STEP
+            f_plus = _loss_value(params, matrices, target, weights, frozen_teacher)
+            flat[i] = original - DEFAULT_STEP
+            f_minus = _loss_value(params, matrices, target, weights, frozen_teacher)
             flat[i] = original
-            fd[i] = (f_plus - f_minus) / (2.0 * step)
+            fd[i] = (f_plus - f_minus) / (2.0 * DEFAULT_STEP)
         a = analytic[name].reshape(-1)
         scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), GRAD_FLOOR)
         errors[name] = float(np.max(np.abs(a - fd)) / scale)

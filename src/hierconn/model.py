@@ -104,11 +104,6 @@ class ModelParams:
         """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards."""
         return ModelParams({name: Tensor(t.data.astype(dtype)) for name, t in self.tensors.items()})
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            {name: Tensor(t.data.copy(), requires_grad=True) for name, t in self.tensors.items()}
-        )
-
 
 def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every learnable tensor's shape and initialiser ("normal", "zeros" or
@@ -167,11 +162,12 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class AttentionTrace:
-    """Head-mean attention maps recorded during one forward pass.
+    """Head-mean attention maps recorded during one forward pass over B subjects.
 
-    ``node_to_subgraph``: one (..., K, n) row-stochastic array per block.
-    ``subgraph_to_graph``: a (..., K+1) stochastic vector; index 0 is the
+    ``node_to_subgraph``: one (B, K, n) row-stochastic array per block.
+    ``subgraph_to_graph``: a (B, K+1) array of stochastic rows; index 0 is the
     graph token's self-weight, indices 1..K the subgraph tokens.
+    ``node_to_subgraph_heads``: with ``trace_heads``, one (B, heads, K, n) array per block.
     """
 
     node_to_subgraph: list[np.ndarray] = field(default_factory=list)
@@ -255,7 +251,8 @@ def _ffn(x: Tensor, params: ModelParams, config: ModelConfig, prefix: str, *, tr
     hidden = linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]).gelu()
     hidden = _dropout(hidden, config.dropout, train, rng)
     out = linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    return layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS)
+    normed = layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS)
+    return _check_finite(prefix, normed)
 
 
 def embed_nodes(matrices, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -277,25 +274,20 @@ def node_to_node(x, params: ModelParams, config: ModelConfig, layer: int, *, tra
 
 
 def node_to_subgraph(
-    x_sg, x_n, params: ModelParams, config: ModelConfig, layer: int,
-    *, activation="sparsemax", train=False, rng=None,
+    x_sg, x_n, params: ModelParams, config: ModelConfig, layer: int, *, train=False, rng=None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Subgraph tokens query the nodes; rows are simplex projections.
-
-    ``activation="softmax"`` is a test hook to isolate the sparse projection
-    from the surrounding attention plumbing.
-    """
+    """Subgraph tokens query the nodes; rows are simplex projections."""
     x_sg, x_n = as_tensor(x_sg), as_tensor(x_n)
     out, per_head = _attention(
         x_sg, x_n, x_sg, params, config, f"layers.{layer}.pool_attn",
-        activation=activation, train=train, rng=rng,
+        activation="sparsemax", train=train, rng=rng,
     )
     return _check_finite(f"layers.{layer}.pool_attn", out), per_head.mean(axis=-3), per_head
 
 
 def subgraph_to_graph(
     x_g, x_sg, params: ModelParams, config: ModelConfig, *, train=False, rng=None,
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
+) -> tuple[Tensor, np.ndarray]:
     """Graph token attends over [itself ++ subgraph tokens] with softmax."""
     x_g, x_sg = as_tensor(x_g), as_tensor(x_sg)
     batch = x_sg.shape[0]
@@ -306,11 +298,7 @@ def subgraph_to_graph(
         activation="softmax", train=train, rng=rng,
     )
     # single query row: (B, 1, K+1) -> (B, K+1)
-    return (
-        _check_finite("graph_attn", out),
-        per_head.mean(axis=-3)[..., 0, :],
-        per_head[..., 0, :],
-    )
+    return _check_finite("graph_attn", out), per_head.mean(axis=-3)[..., 0, :]
 
 
 def forward_batch(
@@ -329,31 +317,23 @@ def forward_batch(
     matrices = np.asarray(matrices, dtype=params["embed.w"].data.dtype)
     if matrices.ndim != 3:
         raise ShapeMismatch(f"expected (B, n, n) matrices, got {matrices.shape}")
-    trace = AttentionTrace(
-        node_to_subgraph_heads=[] if trace_heads else None,
-    )
+    trace = AttentionTrace(node_to_subgraph_heads=[] if trace_heads else None)
     x_n = _check_finite("embed", embed_nodes(Tensor(matrices), params, config))
     x_sg = params["subgraph_tokens"]
     for layer in range(config.layers):
         x_n = node_to_node(x_n, params, config, layer, train=train, rng=rng)
-        x_n = _check_finite(
-            f"layers.{layer}.node_ffn",
-            _ffn(x_n, params, config, f"layers.{layer}.node_ffn", train=train, rng=rng),
-        )
+        x_n = _ffn(x_n, params, config, f"layers.{layer}.node_ffn", train=train, rng=rng)
         x_sg, head_mean, per_head = node_to_subgraph(
             x_sg, x_n, params, config, layer, train=train, rng=rng
         )
-        x_sg = _check_finite(
-            f"layers.{layer}.pool_ffn",
-            _ffn(x_sg, params, config, f"layers.{layer}.pool_ffn", train=train, rng=rng),
-        )
+        x_sg = _ffn(x_sg, params, config, f"layers.{layer}.pool_ffn", train=train, rng=rng)
         trace.node_to_subgraph.append(head_mean)
         if trace_heads:
             trace.node_to_subgraph_heads.append(per_head)
-    x_g, graph_mean, _ = subgraph_to_graph(
+    x_g, graph_mean = subgraph_to_graph(
         params["graph_token"], x_sg, params, config, train=train, rng=rng
     )
-    x_g = _check_finite("graph_ffn", _ffn(x_g, params, config, "graph_ffn", train=train, rng=rng))
+    x_g = _ffn(x_g, params, config, "graph_ffn", train=train, rng=rng)
     trace.subgraph_to_graph = graph_mean
 
     batch = matrices.shape[0]
@@ -371,30 +351,3 @@ def forward_batch(
         trace=trace,
     )
 
-
-def forward(
-    matrix,
-    params: ModelParams,
-    config: ModelConfig,
-    mode: str = "eval",
-    rng=None,
-    trace_heads: bool = False,
-) -> ForwardOutput:
-    """Single-subject forward; accepts a ConnectivityMatrix or an (n, n) array."""
-    values = getattr(matrix, "values", matrix)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"expected an (n, n) matrix, got {values.shape}")
-    out = forward_batch(values[None], params, config, mode=mode, rng=rng, trace_heads=trace_heads)
-    trace = AttentionTrace(**{
-        name: None if v is None else [a[0] for a in v] if isinstance(v, list) else v[0]
-        for name, v in vars(out.trace).items()
-    })
-    return ForwardOutput(
-        z_g=out.z_g.reshape(config.class_count),
-        z_n=out.z_n.reshape(config.class_count),
-        node_tokens=out.node_tokens.reshape(config.n, config.d),
-        subgraph_tokens=out.subgraph_tokens.reshape(config.k, config.d),
-        graph_token=out.graph_token.reshape(1, config.d),
-        trace=trace,
-    )

@@ -16,7 +16,7 @@ from hierconn.interpret import (
     rank_subgraphs,
     select_cohort,
 )
-from hierconn.model import ModelConfig, forward, init_params
+from hierconn.model import ModelConfig, forward_batch, init_params
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ class TestAggregateAssignments:
         ds, config, params = setup
         rec = ds.subjects[0]
         assign = aggregate_assignments(cohort_traces(params, config, [rec]))
-        out = forward(rec.matrix, params, config)
-        expected = out.trace.node_to_subgraph[-1]
+        out = forward_batch(rec.matrix.values[None], params, config)
+        expected = out.trace.node_to_subgraph[-1][0]
         expected = expected / expected.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(assign.soft_assignment, expected, atol=1e-12)
 
@@ -45,8 +45,10 @@ class TestAggregateAssignments:
         ds, config, params = setup
         recs = list(ds.subjects[:2])
         assign = aggregate_assignments(cohort_traces(params, config, recs))
-        t1 = forward(recs[0].matrix, params, config).trace.node_to_subgraph[-1]
-        t2 = forward(recs[1].matrix, params, config).trace.node_to_subgraph[-1]
+        t1, t2 = (
+            forward_batch(rec.matrix.values[None], params, config).trace.node_to_subgraph[-1][0]
+            for rec in recs
+        )
         avg = (t1 + t2) / 2.0
         avg = avg / avg.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(assign.soft_assignment, avg, atol=1e-12)
@@ -114,7 +116,7 @@ class TestRankSubgraphs:
         ds, config, params = setup
         rec = ds.subjects[0]
         imp = rank_subgraphs(cohort_traces(params, config, [rec]))
-        trace = forward(rec.matrix, params, config).trace.subgraph_to_graph
+        trace = forward_batch(rec.matrix.values[None], params, config).trace.subgraph_to_graph[0]
         expected = trace[1:] / trace[1:].sum()
         np.testing.assert_allclose(imp.weights, expected, atol=1e-12)
 
@@ -137,7 +139,7 @@ class TestRankSubgraphs:
         from hierconn.model import subgraph_to_graph
 
         x_sg = np.tile(token, (1, 2, 1))
-        _, head_mean, _ = subgraph_to_graph(params["graph_token"], Tensor(x_sg), params, config)
+        _, head_mean = subgraph_to_graph(params["graph_token"], Tensor(x_sg), params, config)
         weights = head_mean[0, 1:] / head_mean[0, 1:].sum()
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
 

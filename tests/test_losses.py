@@ -16,7 +16,7 @@ from hierconn.losses import (
     orthogonality_loss,
     total_loss_graph,
 )
-from hierconn.model import ModelConfig, forward, init_params
+from hierconn.model import ModelConfig, forward_batch, init_params
 
 
 def softmax_np(z):
@@ -197,7 +197,7 @@ class TestTotalLoss:
         m = rng.normal(size=(6, 6))
         m = np.clip((m + m.T) / 2, -0.99, 0.99)
         np.fill_diagonal(m, 1.0)
-        self.out = forward(m, self.params, self.cfg)
+        self.out = forward_batch(m[None], self.params, self.cfg)
 
     def test_weight_degeneracy(self):
         w = LossWeights(alpha=0.0, beta_max=0.0)

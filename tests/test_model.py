@@ -10,7 +10,6 @@ from hierconn.model import (
     LN_EPS,
     ModelConfig,
     embed_nodes,
-    forward,
     forward_batch,
     init_params,
     node_to_node,
@@ -183,21 +182,6 @@ class TestNodeToSubgraph:
         np.testing.assert_allclose(per_head.sum(axis=-1), 1.0, atol=1e-6)
         np.testing.assert_allclose(head_mean.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_softmax_hook_matches_dense_oracle(self):
-        cfg = ModelConfig(n=5, d=8, heads=2, layers=1, k=3, dropout=0.0)
-        params = init_params(cfg, 8)
-        rng = np.random.default_rng(8)
-        x_n = rng.normal(size=(5, 8))
-        x_sg = params["subgraph_tokens"].data[0]
-        out, _, _ = node_to_subgraph(
-            params["subgraph_tokens"], Tensor(x_n[None]), params, cfg, 0,
-            activation="softmax",
-        )
-        expect = attention_oracle(
-            x_sg, x_n, x_sg, params, "layers.0.pool_attn", heads=2, activation="softmax"
-        )
-        np.testing.assert_allclose(out.data[0], expect, atol=1e-10)
-
     def test_sparsemax_path_matches_dense_sparse_oracle(self):
         cfg = ModelConfig(n=5, d=8, heads=2, layers=1, k=3, dropout=0.0)
         params = init_params(cfg, 9)
@@ -238,7 +222,7 @@ class TestSubgraphToGraph:
         token = np.random.default_rng(10).normal(size=8)
         params.tensors["graph_token"].data = token[None, None].copy()
         x_sg = np.tile(token, (1, 3, 1))  # all K+1 keys identical
-        _, head_mean, _ = subgraph_to_graph(
+        _, head_mean = subgraph_to_graph(
             params["graph_token"], Tensor(x_sg), params, TINY
         )
         np.testing.assert_allclose(head_mean[0], np.full(4, 0.25), atol=1e-12)
@@ -248,7 +232,7 @@ class TestSubgraphToGraph:
         params = init_params(cfg, 11)
         rng = np.random.default_rng(11)
         x_sg = Tensor(rng.normal(size=(2, 8, 16)))
-        _, head_mean, _ = subgraph_to_graph(params["graph_token"], x_sg, params, cfg)
+        _, head_mean = subgraph_to_graph(params["graph_token"], x_sg, params, cfg)
         assert head_mean.shape == (2, 9)
         np.testing.assert_allclose(head_mean.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -257,7 +241,7 @@ class TestSubgraphToGraph:
         rng = np.random.default_rng(12)
         x_sg = rng.normal(size=(3, 8))
         x_g = params["graph_token"].data[0]
-        out, _, _ = subgraph_to_graph(
+        out, _ = subgraph_to_graph(
             params["graph_token"], Tensor(x_sg[None]), params, TINY
         )
         kv = np.concatenate([x_g, x_sg], axis=0)
@@ -271,44 +255,44 @@ class TestForward:
         rng = np.random.default_rng(13)
         m = rng.normal(size=(6, 6))
         m = (m + m.T) / 2
-        a = forward(m, params, TINY).z_g.data
-        b = forward(m, params, TINY).z_g.data
+        a = forward_batch(m[None], params, TINY).z_g.data
+        b = forward_batch(m[None], params, TINY).z_g.data
         np.testing.assert_array_equal(a, b)
 
     def test_logit_lengths(self):
         params = tiny_params(14)
-        out = forward(np.eye(6), params, TINY)
-        assert out.z_g.shape == (2,)
-        assert out.z_n.shape == (2,)
+        out = forward_batch(np.eye(6)[None], params, TINY)
+        assert out.z_g.shape == (1, 2)
+        assert out.z_n.shape == (1, 2)
 
     def test_trace_shapes_and_stochasticity(self):
         cfg = ModelConfig(n=6, d=8, heads=2, layers=2, k=3, dropout=0.0)
         params = init_params(cfg, 15)
         rng = np.random.default_rng(15)
         m = rng.normal(size=(6, 6))
-        out = forward((m + m.T) / 2, params, cfg)
+        out = forward_batch(((m + m.T) / 2)[None], params, cfg)
         assert len(out.trace.node_to_subgraph) == 2
         for a in out.trace.node_to_subgraph:
-            assert a.shape == (3, 6)
+            assert a.shape == (1, 3, 6)
             assert np.all(a >= 0)
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-6)
         sg = out.trace.subgraph_to_graph
-        assert sg.shape == (4,)
-        np.testing.assert_allclose(sg.sum(), 1.0, atol=1e-6)
+        assert sg.shape == (1, 4)
+        np.testing.assert_allclose(sg.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_train_mode_needs_rng_for_dropout(self):
         cfg = ModelConfig(n=6, d=8, heads=2, layers=1, k=3, dropout=0.5)
         params = init_params(cfg, 16)
         with pytest.raises(ValueError):
-            forward(np.eye(6), params, cfg, mode="train")
+            forward_batch(np.eye(6)[None], params, cfg, mode="train")
 
     def test_train_mode_pure_function_of_rng_seed(self):
         cfg = ModelConfig(n=6, d=8, heads=2, layers=1, k=3, dropout=0.3)
         params = init_params(cfg, 17)
-        m = np.eye(6)
-        a = forward(m, params, cfg, mode="train", rng=np.random.default_rng(5)).z_g.data
-        b = forward(m, params, cfg, mode="train", rng=np.random.default_rng(5)).z_g.data
-        c = forward(m, params, cfg, mode="train", rng=np.random.default_rng(6)).z_g.data
+        m = np.eye(6)[None]
+        a = forward_batch(m, params, cfg, mode="train", rng=np.random.default_rng(5)).z_g.data
+        b = forward_batch(m, params, cfg, mode="train", rng=np.random.default_rng(5)).z_g.data
+        c = forward_batch(m, params, cfg, mode="train", rng=np.random.default_rng(6)).z_g.data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -317,7 +301,7 @@ class TestForward:
         params = tiny_params(18)
         params.tensors["embed.w"].data[0, 0] = np.inf
         with pytest.raises(NonFiniteActivation):
-            forward(np.eye(6), params, TINY)
+            forward_batch(np.eye(6)[None], params, TINY)
 
     def test_batch_matches_singles(self):
         params = tiny_params(19)
@@ -326,17 +310,13 @@ class TestForward:
         with no_grad():
             batch = forward_batch(ms, params, TINY)
             for i in range(3):
-                single = forward(ms[i], params, TINY)
-                np.testing.assert_allclose(batch.z_g.data[i], single.z_g.data, atol=1e-10)
-                np.testing.assert_allclose(batch.z_n.data[i], single.z_n.data, atol=1e-10)
+                single = forward_batch(ms[i : i + 1], params, TINY)
+                np.testing.assert_allclose(batch.z_g.data[i], single.z_g.data[0], atol=1e-10)
+                np.testing.assert_allclose(batch.z_n.data[i], single.z_n.data[0], atol=1e-10)
 
     def test_checkpointable_param_listing_stable(self):
         params = tiny_params(20)
         assert params.names() == sorted(params.tensors)
-        copied = params.copy()
-        for name in params.names():
-            assert np.array_equal(copied[name].data, params[name].data)
-            assert copied[name].data is not params[name].data
 
 
 class TestForwardGradients:
@@ -362,7 +342,7 @@ class TestForwardGradients:
         w = LossWeights()
 
         def build():
-            out = forward(m, params, TINY)
+            out = forward_batch(m[None], params, TINY)
             return (
                 classification_loss(out.z_g, 1)
                 + classification_loss(out.z_n, 1)
