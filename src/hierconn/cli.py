@@ -9,14 +9,13 @@ effective configuration that produced them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_json, write_json
 from .checkpoint import load_checkpoint
 from .config import CONFIG_KEYS, OUT_ROOT_ENV, RunConfig, parse_config
 from .data import (
@@ -119,15 +118,7 @@ def _resolve_run_dir(explicit: str | None, command: str) -> Path:
 
 
 def _load_synth_spec(path: str, seed_override: int | None = None) -> SyntheticSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"synthetic spec not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    doc = read_json(path, "synthetic spec")
     if seed_override is not None:
         doc["seed"] = seed_override
     try:
@@ -149,11 +140,6 @@ def _load_configured_dataset(cfg: RunConfig):
     raise _UsageError("one of --data or --synth is required")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with atomic_open(path) as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _prepare_run(args, command: str):
     """Config, dataset and the built model, train and loss sections, then the
     run directory holding the effective config: a bad value leaves no directory."""
@@ -161,7 +147,7 @@ def _prepare_run(args, command: str):
     ds = _load_configured_dataset(cfg)
     sections = cfg.model_config(ds.n), cfg.train_config(), cfg.loss_weights()
     run_dir = _resolve_run_dir(cfg.out, command)
-    _write_json(run_dir / "effective_config.json", cfg.to_dict())
+    write_json(run_dir / "effective_config.json", cfg.to_dict())
     return cfg, ds, *sections, run_dir
 
 
@@ -178,7 +164,7 @@ def _cmd_train(args) -> int:
         loss_weights,
         out_dir=run_dir,
     )
-    _write_json(run_dir / "train_report.json", report.to_dict())
+    write_json(run_dir / "train_report.json", report.to_dict())
     print(f"best epoch {report.best_epoch}: val {cfg.train['early_stop_metric']} "
           f"{report.best_val_metric:.4f} ({report.epochs_run} epochs run)")
     print(f"artifacts in {run_dir}")
@@ -196,7 +182,7 @@ def _cmd_evaluate(args) -> int:
         ds, folds, factory, train_cfg, loss_weights,
         out_dir=run_dir, threads=cfg.threads,
     )
-    _write_json(run_dir / "cv_report.json", report.to_dict())
+    write_json(run_dir / "cv_report.json", report.to_dict())
     table = format_metric_table(report)
     with atomic_open(run_dir / "metrics_table.txt") as f:
         f.write(table)
@@ -226,7 +212,7 @@ def _cmd_interpret(args) -> int:
         "importance": [float(v) for v in importance.weights],
         "support_masks": [list(mask) for mask in assign.support_masks],
     }
-    _write_json(run_dir / "interpret_summary.json", summary)
+    write_json(run_dir / "interpret_summary.json", summary)
     top = importance.ranking[0]
     print(f"top subgraph {top} (weight {importance.weights[top]:.4f}); "
           f"support {len(assign.support_masks[top])} nodes")

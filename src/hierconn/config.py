@@ -24,12 +24,12 @@ numbers).
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .errors import InvalidValue, ParseError, UnknownKey, check_fields, check_value
+from .atomic import read_json
+from .errors import InvalidValue, UnknownKey, check_fields, check_value
 from .losses import LossWeights
 from .model import ModelConfig
 from .train import TrainConfig
@@ -159,8 +159,6 @@ def _set(effective: dict, path: str, value) -> None:
 
 
 def _merge_document(effective: dict, doc: dict) -> None:
-    if not isinstance(doc, dict):
-        raise ParseError("config document must be a JSON object")
     for key, value in doc.items():
         if key in SECTIONS:
             if not isinstance(value, dict):
@@ -179,16 +177,7 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
     for key in CONFIG_KEYS.values():
         _set(effective, key.path, key.default)
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ParseError(f"config file not found: {path}")
-        text = path.read_text().strip()
-        if text:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
-            _merge_document(effective, doc)
+        _merge_document(effective, read_json(path, "config file"))
     for dotted, value in (overrides or {}).items():
         if value is not None:
             _set(effective, dotted, value)

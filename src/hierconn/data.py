@@ -9,14 +9,13 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_json, write_json
 from .errors import (
     InvalidSpec,
     InvariantViolation,
@@ -105,7 +104,11 @@ class DatasetManifest:
         if not self.subjects:
             raise InvariantViolation("dataset has no subjects")
         n = self.subjects[0].matrix.n
+        seen = set()
         for rec in self.subjects:
+            if rec.id in seen:
+                raise InvariantViolation("id appears more than once", subject_id=rec.id)
+            seen.add(rec.id)
             if rec.matrix.n != n:
                 raise InvariantViolation(
                     f"node count {rec.matrix.n} != dataset node count {n}",
@@ -289,13 +292,8 @@ def _validated_matrix(values: np.ndarray, n: int, subject_id: str) -> Connectivi
 def load_dataset(manifest_path: str | Path) -> DatasetManifest:
     """Read a JSON manifest and every matrix it references, validating all."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ParseError(f"manifest not found: {manifest_path}")
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
+    doc = read_json(manifest_path, "manifest")
+    if not isinstance(doc.get("subjects"), list):
         raise ParseError(f"{manifest_path}: expected an object with a 'subjects' list")
     n = doc.get("n")
     if type(n) is not int or n < 1:
@@ -343,8 +341,7 @@ def save_dataset(ds: DatasetManifest, out_dir: str | Path, file_format: str = "b
         "subjects": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    with atomic_open(manifest_path) as f:
-        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, doc)
     return manifest_path
 
 

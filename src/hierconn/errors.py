@@ -5,9 +5,11 @@ Two broad families matter for the CLI exit-code contract: ``DataError``
 numerical failures, exit code 3). Everything derives from ``HierconnError``.
 
 A config key's valid range lives in its field's metadata: "check" names one
-of the ``RANGES`` rules, "choices" lists the accepted values.
+of the ``RANGES`` rules, "choices" lists the accepted values. Every float
+value must also be finite.
 """
 
+import math
 from dataclasses import Field, fields
 
 
@@ -89,7 +91,7 @@ class InvalidValue(DataError):
 
 # -- config value rules ------------------------------------------------------
 
-RANGES = {  # NaN fails every rule
+RANGES = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 2": lambda v: v >= 2,
@@ -99,10 +101,13 @@ RANGES = {  # NaN fails every rule
 
 
 def check_value(spec: Field, value) -> None:
-    """Raise ValueError unless ``value`` meets the field's "check" and
-    "choices" metadata; None (an unset optional key) is not checked."""
+    """Raise ValueError unless ``value`` is finite (if a float) and meets the
+    field's "check" and "choices" metadata; None (an unset optional key) is
+    not checked."""
     if value is None:
         return
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{spec.name} must be finite, got {value!r}")
     rule = spec.metadata.get("check")
     if rule is not None and not RANGES[rule](value):
         raise ValueError(f"{spec.name} must be {rule}, got {value!r}")

@@ -1,6 +1,7 @@
 """Config parsing and the command-line surface, including exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,23 @@ class TestParseConfig:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             parse_config(path)
+
+    # config parsing and direct construction of the section both refuse it
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("path", sorted(p for p, k in CONFIG_KEYS.items() if k.type is float))
+    def test_non_finite_float_is_rejected(self, path, value, tmp_path):
+        section, _, name = path.rpartition(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+        with pytest.raises(InvalidValue, match=f"'{path}': {name} must be finite"):
+            parse_config(cfg)
+        defaults = parse_config(None)
+        built = {
+            "model": defaults.model_config(6), "train": defaults.train_config(),
+            "loss": defaults.loss_weights(), "": defaults,
+        }[section]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(built, **{name: value})
 
 
 @pytest.fixture()
@@ -158,6 +176,22 @@ class TestTrainCommand:
     def test_missing_manifest_is_data_error(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "none.json"), "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+    @pytest.mark.parametrize("labels", [(0, 0), (0, 1)])
+    def test_duplicate_subject_id_is_data_error(self, labels, synth_spec_file, tmp_path, capsys):
+        ds_out = tmp_path / "ds"
+        main(["synth", "--spec", str(synth_spec_file), "--out", str(ds_out)])
+        manifest = ds_out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for entry, label in zip(doc["subjects"][:2], labels):
+            entry["id"], entry["label"] = "twin", label
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(manifest), "--out", str(out), *fast_flags(tmp_path)])
+        assert code == 2
+        assert "subject 'twin'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -281,18 +315,19 @@ class TestExitCodes:
         ({"train": {"early_stop_metric": "f1"}}, "train.early_stop_metric"),
         ({"model": {"d": 8, "heads": 3}}, "model"),
         ({"train": {"lr": 1e-4, "lr_min": 1e-4}}, "train"),
+        (b"\xff\xfe{}", None),  # not UTF-8: the message names the file
     ])
     def test_wrongly_typed_config_value_is_data_error(
         self, doc, path, synth_spec_file, tmp_path, capsys
     ):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         out = tmp_path / "x"
         code = main([
             "train", "--synth", str(synth_spec_file), "--config", str(cfg), "--out", str(out),
         ])
         assert code == 2
-        assert f"config key '{path}'" in capsys.readouterr().err
+        assert (f"config key '{path}'" if path else str(cfg)) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("folds", ["0", "1"])
@@ -319,7 +354,8 @@ class TestExitCodes:
         assert "config key 'val_fraction'" in capsys.readouterr().err
         assert not out.exists()
 
-    # every range-checked key of the train, model and loss sections, by field name
+    # every range-checked key of the train, model and loss sections, and
+    # non-finite values of the float keys without a range, by field name
     @pytest.mark.parametrize("key, value", [
         ("mixup_alpha", "0"), ("mixup_alpha", "-1"), ("mixup_alpha", "nan"),
         ("adam_beta1", "1"), ("adam_beta2", "1"), ("adam_beta2", "-0.1"),
@@ -328,6 +364,10 @@ class TestExitCodes:
         ("d", "0"), ("d", "-4"), ("heads", "0"), ("heads", "-2"), ("layers", "0"), ("k", "1"),
         ("dropout", "1"), ("dropout", "-0.1"), ("class_count", "1"), ("ffn_mult", "0"),
         ("alpha", "-1"), ("beta_max", "-1"), ("tau", "0"),
+        ("alpha", "nan"), ("alpha", "inf"), ("beta_max", "inf"), ("beta_max", "nan"),
+        ("beta_slope", "nan"), ("beta_slope", "inf"),
+        ("beta_center_fraction", "nan"), ("beta_center_fraction", "inf"),
+        ("lr", "inf"), ("lr", "nan"),
     ])
     def test_out_of_range_optimizer_or_mixup_setting_is_data_error(
         self, key, value, synth_spec_file, tmp_path, capsys
@@ -381,10 +421,12 @@ class TestExitCodes:
             "signal_strength": 0.6, "noise_level": 0.12, "seed": 7,
         },
         [12, 16],
+        b"\xff\xfe{}",  # not UTF-8
+        b"",  # reads as {}, so every required field is missing
     ])
     def test_malformed_synth_spec_is_data_error(self, doc, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(doc))
+        spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         code = main(["synth", "--spec", str(spec), "--seed", "3", "--out", str(tmp_path / "ds")])
         assert code == 2
         assert str(spec) in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Frozen command-line contract: every subcommand's options, the default
-configuration document and each key's value rule.
+configuration document and each key's value rule, and the package's public
+names (``hierconn.__all__``).
 
 Each option is recorded as (option strings, type, default, choices, action,
 required); ``dest`` names are internal and left out. A change here changes
@@ -11,10 +12,21 @@ import json
 
 import pytest
 
+import hierconn
 from hierconn.cli import build_parser
 from hierconn.config import CONFIG_KEYS, parse_config
 
 HELP = (("-h", "--help"), None, "==SUPPRESS==", None, "_HelpAction", False)
+
+PUBLIC_API = [
+    "AttentionTrace", "ConnectivityMatrix", "CvReport", "DatasetManifest", "FoldSplit",
+    "ForwardOutput", "LossBreakdown", "LossWeights", "MetricSet", "ModelConfig", "ModelParams",
+    "SimplexProjection", "SubjectRecord", "SyntheticSpec", "TimeSeries", "TrainConfig",
+    "TrainReport", "beta_schedule", "classification_loss", "compute_metrics", "compute_pcc",
+    "cosine_lr", "fit", "forward_batch", "generate_synthetic", "hierarchical_consistency_loss",
+    "init_params", "load_dataset", "mixup", "optimizer_step", "orthogonality_loss", "run_cv",
+    "save_dataset", "sparsemax_backward", "sparsemax_forward", "stratified_kfold",
+]
 
 
 def _store(flag, type_name=None, default=None, choices=None, required=False):
@@ -133,6 +145,11 @@ def _options(parser: argparse.ArgumentParser) -> list[tuple]:
 def _subparsers(parser: argparse.ArgumentParser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+def test_public_api():
+    assert sorted(hierconn.__all__) == PUBLIC_API
+    assert all(hasattr(hierconn, name) for name in PUBLIC_API)
 
 
 def test_subcommands():

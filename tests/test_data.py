@@ -212,18 +212,30 @@ class TestLoadDataset:
         ("manifest", "subjects", 5),
         ("manifest", "atlas_labels", 5),
         ("manifest", "n", True),
+        ("file", "bytes", b"\xff\xfe{}"),  # not UTF-8
+        ("file", "bytes", b""),  # reads as {}, which has no 'subjects' list
     ])
     def test_malformed_field_is_parse_error(self, where, name, value, tmp_path):
         rng = np.random.default_rng(4)
         path = write_manifest(tmp_path, [valid_matrix(rng) for _ in range(4)], [0, 1, 0, 1], n=4)
         doc = json.loads(path.read_text())
-        (doc["subjects"][1] if where == "subject" else doc)[name] = value
-        path.write_text(json.dumps(doc))
+        if where == "file":
+            path.write_bytes(value)
+        else:
+            (doc["subjects"][1] if where == "subject" else doc)[name] = value
+            path.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
         assert str(path) in str(exc.value)
         if where == "subject":
             assert f"subject {doc['subjects'][1]['id']!r}" in str(exc.value)
+
+    def test_duplicate_subject_id_rejected(self):
+        rng = np.random.default_rng(4)
+        records = [SubjectRecord(sid, label, ConnectivityMatrix(valid_matrix(rng)))
+                   for sid, label in [("a", 0), ("b", 1), ("a", 1)]]
+        with pytest.raises(InvariantViolation, match="subject 'a'"):
+            DatasetManifest(subjects=records)
 
     def test_save_load_roundtrip(self, tmp_path):
         spec = SyntheticSpec(
