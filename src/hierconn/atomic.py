@@ -44,16 +44,15 @@ def write_json(path: str | Path, payload: dict) -> None:
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path, what: str) -> dict:
+def read_json(path: str | Path) -> dict:
     """The JSON object in the UTF-8 file ``path``; an empty file reads as {}.
 
-    A missing file (reported as a missing ``what``), bytes that are not
-    UTF-8, malformed JSON or a document that is not an object raise
-    ParseError naming the file.
+    A missing file, bytes that are not UTF-8, malformed JSON or a document
+    that is not an object raise ParseError naming the file.
     """
     path = Path(path)
     if not path.exists():
-        raise ParseError(f"{what} not found: {path}")
+        raise ParseError(f"file not found: {path}")
     try:
         text = path.read_bytes().decode("utf-8").strip()
         doc = json.loads(text) if text else {}

@@ -118,7 +118,7 @@ def _resolve_run_dir(explicit: str | None, command: str) -> Path:
 
 
 def _load_synth_spec(path: str, seed_override: int | None = None) -> SyntheticSpec:
-    doc = read_json(path, "synthetic spec")
+    doc = read_json(path)
     if seed_override is not None:
         doc["seed"] = seed_override
     try:

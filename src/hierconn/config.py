@@ -177,7 +177,7 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
     for key in CONFIG_KEYS.values():
         _set(effective, key.path, key.default)
     if path is not None:
-        _merge_document(effective, read_json(path, "config file"))
+        _merge_document(effective, read_json(path))
     for dotted, value in (overrides or {}).items():
         if value is not None:
             _set(effective, dotted, value)

@@ -292,7 +292,7 @@ def _validated_matrix(values: np.ndarray, n: int, subject_id: str) -> Connectivi
 def load_dataset(manifest_path: str | Path) -> DatasetManifest:
     """Read a JSON manifest and every matrix it references, validating all."""
     manifest_path = Path(manifest_path)
-    doc = read_json(manifest_path, "manifest")
+    doc = read_json(manifest_path)
     if not isinstance(doc.get("subjects"), list):
         raise ParseError(f"{manifest_path}: expected an object with a 'subjects' list")
     n = doc.get("n")

@@ -177,7 +177,6 @@ class TestTrainCommand:
         code = main(["train", "--data", str(tmp_path / "none.json"), "--out", str(tmp_path / "x")])
         assert code == 2
 
-
     @pytest.mark.parametrize("labels", [(0, 0), (0, 1)])
     def test_duplicate_subject_id_is_data_error(self, labels, synth_spec_file, tmp_path, capsys):
         ds_out = tmp_path / "ds"
