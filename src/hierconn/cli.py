@@ -26,7 +26,7 @@ from .data import (
     stratified_holdout,
     stratified_kfold,
 )
-from .errors import DataError, HierconnError, NumericalError, ParseError
+from .errors import DataError, HierconnError, InvalidSpec, NumericalError, ParseError
 from .evaluate import format_metric_table, run_cv
 from .gradcheck import run_gradcheck
 from .interpret import (
@@ -126,8 +126,8 @@ def _load_synth_spec(path: str, seed_override: int | None = None) -> SyntheticSp
         return SyntheticSpec(
             **{f.name: doc[f.name] for f in fields(SyntheticSpec) if f.name in doc}
         )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or malformed field: {exc}") from exc
+    except (TypeError, InvalidSpec) as exc:  # a missing field, or a value its rules refuse
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_configured_dataset(cfg: RunConfig):

@@ -8,7 +8,7 @@ key's default, its type and the help text of its command-line flag. The CLI
 makes one flag per field, named after the field unless its metadata names
 another (``--patience``, ``--no-mixup``); metadata may also list the accepted
 choices and give the key's range ("check"), which parsing enforces key by key
-(``errors.check_value``); building a section then checks its one cross-key
+(``errors.field_value``); building a section then checks its one cross-key
 rule. Two rules cover the rest: a field without a default (``model.n``, taken
 from the dataset) defaults to None and has no flag, and a section field named
 like a top-level key (``train.seed``) is set at the top level only.
@@ -18,8 +18,7 @@ annealed to 1e-5, 200 epochs at batch 64, K=8 subgraph tokens, d=384 with 8
 heads over 2 layers, alpha=1.3, tau=2.0, and the sigmoid-scheduled
 consistency weight (max 0.2, center at 1/4 of the steps, slope 0.001).
 Unknown keys are rejected so typos cannot silently fall back to defaults,
-and a value is stored as its field's type (an int key takes only integral
-numbers).
+and a value is stored as its field's type.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .atomic import read_json
-from .errors import InvalidValue, UnknownKey, check_fields, check_value
+from .errors import InvalidValue, UnknownKey, check_fields, field_value
 from .losses import LossWeights
 from .model import ModelConfig
 from .train import TrainConfig
@@ -80,7 +79,6 @@ class ConfigKey:
     path: str  # "train.lr" in a section, "seed" at the top level
     spec: Field
     type: type  # the field's annotation, None stripped from an optional one
-    optional: bool  # None is accepted: the annotation allows it or there is no default
 
     @property
     def default(self):
@@ -109,10 +107,8 @@ def _keys(cls, section: str | None = None, skip=()):
     hints = get_type_hints(cls)
     for f in fields(cls):
         if f.name not in skip:
-            args = get_args(hints[f.name])
-            kinds = [t for t in args if t is not type(None)] or [hints[f.name]]
-            optional = type(None) in args or f.default is MISSING
-            yield ConfigKey(f"{section}.{f.name}" if section else f.name, f, kinds[0], optional)
+            kinds = [t for t in get_args(hints[f.name]) if t is not type(None)] or [hints[f.name]]
+            yield ConfigKey(f"{section}.{f.name}" if section else f.name, f, kinds[0])
 
 
 _TOP_LEVEL = {key.path: key for key in _keys(RunConfig, skip=SECTIONS)}
@@ -122,40 +118,17 @@ CONFIG_KEYS = {  # every key by dotted path, top-level keys first
 }
 
 
-# what a JSON value must be for each field annotation; bool is an int, so
-# numbers exclude it, and an int field also takes an integral float (2.0)
-_ACCEPTED = {
-    bool: ("a boolean", (bool,)),
-    int: ("an integer", (int, float)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-}
-
-
-def _check_type(key: ConfigKey, value):
-    """The value as its field's type (None only where it is allowed), or InvalidValue."""
-    if value is None and key.optional:
-        return value
-    expected, accepted = _ACCEPTED[key.type]
-    if (
-        not isinstance(value, accepted)
-        or (isinstance(value, bool) and key.type is not bool)
-        or (key.type is int and isinstance(value, float) and not value.is_integer())
-    ):
-        raise InvalidValue(key.path, f"expected {expected}, got {value!r}")
-    value = key.type(value)
-    try:
-        check_value(key.spec, value)
-    except ValueError as exc:
-        raise InvalidValue(key.path, str(exc)) from exc
-    return value
-
-
 def _set(effective: dict, path: str, value) -> None:
     if path not in CONFIG_KEYS:
         raise UnknownKey(path)
+    key = CONFIG_KEYS[path]
+    if value is not None or key.default is not None:  # None is unset, where the default is
+        try:
+            value = field_value(key.spec, key.type, value)
+        except ValueError as exc:
+            raise InvalidValue(path, str(exc)) from exc
     section, _, name = path.rpartition(".")
-    (effective[section] if section else effective)[name] = _check_type(CONFIG_KEYS[path], value)
+    (effective[section] if section else effective)[name] = value
 
 
 def _merge_document(effective: dict, doc: dict) -> None:

@@ -10,7 +10,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSubjects,
     ZeroVarianceNode,
+    check_fields,
 )
 
 SYMMETRY_TOL = 1e-6  # asymmetry beyond this on load is an error, below is repaired
@@ -164,28 +165,25 @@ class SyntheticSpec:
     blocks, and at least one planted set must span two or more blocks.
     """
 
-    n: int
-    subject_count: int
+    n: int = field(metadata={"check": ">= 2"})
+    subject_count: int = field(metadata={"check": ">= 2"})
     planted_subgraphs: tuple[tuple[int, ...], ...]
-    signal_strength: float
-    noise_level: float
-    seed: int
-    atlas_blocks: int = 4
+    signal_strength: float = field(metadata={"check": ">= 0"})
+    noise_level: float = field(metadata={"check": "> 0"})
+    seed: int = field(metadata={"check": ">= 0"})
+    atlas_blocks: int = field(default=4, metadata={"check": ">= 2"})
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "planted_subgraphs",
-            tuple(tuple(sorted(int(i) for i in s)) for s in self.planted_subgraphs),
-        )
-        if self.n < 2 or self.subject_count < 2:
-            raise InvalidSpec("need n >= 2 and subject_count >= 2")
-        if self.signal_strength < 0 or self.noise_level <= 0:
-            raise InvalidSpec("signal_strength must be >= 0, noise_level > 0")
+        try:
+            check_fields(self)
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from exc
+        planted = tuple(tuple(sorted(s)) for s in self.planted_subgraphs)
+        object.__setattr__(self, "planted_subgraphs", planted)
         if not self.planted_subgraphs:
             raise InvalidSpec("need at least one planted subgraph")
-        if self.atlas_blocks < 2 or self.atlas_blocks > self.n:
-            raise InvalidSpec("atlas_blocks must be in [2, n]")
+        if self.atlas_blocks > self.n:
+            raise InvalidSpec("atlas_blocks must be <= n")
         for s in self.planted_subgraphs:
             if len(s) < 2:
                 raise InvalidSpec("planted sets need at least two nodes")

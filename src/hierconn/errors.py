@@ -3,14 +3,11 @@
 Two broad families matter for the CLI exit-code contract: ``DataError``
 (bad or inconsistent inputs, exit code 2) and ``NumericalError`` (runtime
 numerical failures, exit code 3). Everything derives from ``HierconnError``.
-
-A config key's valid range lives in its field's metadata: "check" names one
-of the ``RANGES`` rules, "choices" lists the accepted values. Every float
-value must also be finite.
 """
 
 import math
 from dataclasses import Field, fields
+from typing import get_args, get_origin, get_type_hints
 
 
 class HierconnError(Exception):
@@ -89,7 +86,7 @@ class InvalidValue(DataError):
         self.key_path = key_path
 
 
-# -- config value rules ------------------------------------------------------
+# -- field value rules -------------------------------------------------------
 
 RANGES = {
     "> 0": lambda v: v > 0,
@@ -100,25 +97,62 @@ RANGES = {
 }
 
 
-def check_value(spec: Field, value) -> None:
-    """Raise ValueError unless ``value`` is finite (if a float) and meets the
-    field's "check" and "choices" metadata; None (an unset optional key) is
-    not checked."""
-    if value is None:
-        return
+# what a JSON value must be for each annotation; bool is an int, so numbers
+# exclude it, and an int field also takes an integral float (2.0)
+_ACCEPTED = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int, float)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    dict: ("an object", (dict,)),
+    tuple: ("an array", (list, tuple)),
+}
+
+
+def _as_type(name: str, kind, value):
+    """``value`` as annotation ``kind`` holds it, or ValueError naming ``name``: None
+    only where ``kind`` admits it, a ``tuple[X, ...]`` item by item, floats finite."""
+    if type(None) in get_args(kind):  # X | None
+        if value is None:
+            return None
+        (kind,) = [t for t in get_args(kind) if t is not type(None)]
+    expected, accepted = _ACCEPTED[get_origin(kind) or kind]
+    if (
+        not isinstance(value, accepted)
+        or (isinstance(value, bool) and kind is not bool)
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if get_origin(kind) is tuple:
+        return tuple(_as_type(f"{name}[{i}]", get_args(kind)[0], v) for i, v in enumerate(value))
+    value = kind(value)
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{spec.name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def field_value(spec: Field, kind, value):
+    """``value`` as field ``spec``, annotated ``kind``, holds it, or ValueError:
+    of that type and meeting the field's metadata, where "check" names one of
+    the ``RANGES`` rules and "choices" lists the accepted values."""
+    value = _as_type(spec.name, kind, value)
+    if value is None:
+        return value
     rule = spec.metadata.get("check")
     if rule is not None and not RANGES[rule](value):
         raise ValueError(f"{spec.name} must be {rule}, got {value!r}")
     choices = spec.metadata.get("choices")
     if choices is not None and value not in choices:
         raise ValueError(f"{spec.name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def check_fields(obj) -> None:
+    """Store every field of dataclass ``obj`` as ``field_value`` gives it (frozen or not)."""
+    hints = get_type_hints(type(obj))
     for spec in fields(obj):
-        check_value(spec, getattr(obj, spec.name))
+        value = field_value(spec, hints[spec.name], getattr(obj, spec.name))
+        object.__setattr__(obj, spec.name, value)
 
 
 # -- numerical family --------------------------------------------------------
