@@ -175,12 +175,8 @@ def _cmd_evaluate(args) -> int:
     cfg, ds, model_config, train_cfg, loss_weights, run_dir = _prepare_run(args, "evaluate")
     folds = stratified_kfold(ds, k=cfg.folds, val_fraction=cfg.val_fraction, seed=cfg.seed)
 
-    def factory(fold_index: int):
-        return model_config, init_params(model_config, cfg.seed + fold_index)
-
     report = run_cv(
-        ds, folds, factory, train_cfg, loss_weights,
-        out_dir=run_dir, threads=cfg.threads,
+        ds, folds, model_config, train_cfg, loss_weights, out_dir=run_dir, threads=cfg.threads
     )
     write_json(run_dir / "cv_report.json", report.to_dict())
     table = format_metric_table(report)
@@ -230,6 +226,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     report = run_gradcheck(seed=args.seed, threshold=args.threshold)
     for line in report.lines():
         print(line)

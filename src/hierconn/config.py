@@ -46,7 +46,7 @@ class RunConfig:
     out: str | None = field(
         default=None, metadata={"help": f"run directory (default: under ${OUT_ROOT_ENV})"}
     )
-    seed: int = field(default=0, metadata={"help": "master seed"})
+    seed: int = field(default=0, metadata={"help": "master seed", "check": ">= 0"})
     threads: int = field(default=1, metadata={"help": "worker cap; 1 guarantees determinism"})
     folds: int = field(default=5, metadata={"help": "cross-validation folds", "check": ">= 2"})
     val_fraction: float = field(

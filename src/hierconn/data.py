@@ -146,9 +146,7 @@ class FoldSplit:
     test_ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "train_ids", tuple(self.train_ids))
-        object.__setattr__(self, "val_ids", tuple(self.val_ids))
-        object.__setattr__(self, "test_ids", tuple(self.test_ids))
+        check_fields(self)
         groups = [set(self.train_ids), set(self.val_ids), set(self.test_ids)]
         total = sum(len(g) for g in groups)
         if len(groups[0] | groups[1] | groups[2]) != total:

@@ -92,6 +92,7 @@ RANGES = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 2": lambda v: v >= 2,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, 1)": lambda v: 0 < v < 1,
 }

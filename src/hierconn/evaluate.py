@@ -9,13 +9,12 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 from .data import DatasetManifest, FoldSplit, stack_records
 from .errors import EmptyDataset
 from .losses import LossWeights
 from .metrics import MetricSet, aggregate_metrics, compute_metrics
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, init_params
 from .train import TrainConfig, TrainReport, fit, predict_scores
 
 @dataclass
@@ -51,24 +50,24 @@ def format_metric_table(report: CvReport) -> str:
 def run_cv(
     ds: DatasetManifest,
     folds: list[FoldSplit],
-    model_factory: Callable[[int], tuple[ModelConfig, ModelParams]],
+    config: ModelConfig,
     train_cfg: TrainConfig,
     weights: LossWeights,
     out_dir: str | Path | None = None,
     threads: int = 1,
 ) -> CvReport:
-    """Train one fresh model per fold; evaluate each on its held-out test set.
+    """Train one fresh model of ``config`` per fold; evaluate each on its held-out test set.
 
-    Per-fold work is independent (fresh model, fold-derived seed), so fold
-    training may run in parallel without affecting any result.
+    Per-fold work is independent (fresh model, seed ``train_cfg.seed`` plus the
+    fold index), so fold training may run in parallel without affecting any result.
     """
     if not folds:
         raise EmptyDataset("no folds to run")
     out_dir = Path(out_dir) if out_dir is not None else None
 
     def run_fold(split: FoldSplit) -> tuple[MetricSet, list[dict], TrainReport]:
-        config, params = model_factory(split.fold_index)
         fold_cfg = replace(train_cfg, seed=train_cfg.seed + split.fold_index)
+        params = init_params(config, fold_cfg.seed)
         fold_dir = out_dir / f"fold_{split.fold_index}" if out_dir else None
         report = fit(
             ds.subset(split.train_ids),

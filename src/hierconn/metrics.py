@@ -7,25 +7,22 @@ Mann-Whitney statistic with ties counted 0.5, computed via average ranks
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeMismatch, SingleClassPresent
+from .errors import EmptyDataset, ShapeMismatch, SingleClassPresent, check_fields
 
 
 @dataclass(frozen=True)
 class MetricSet:
-    acc: float
-    auc: float
-    sen: float
-    spe: float
+    acc: float = field(metadata={"check": "in [0, 1]"})
+    auc: float = field(metadata={"check": "in [0, 1]"})
+    sen: float = field(metadata={"check": "in [0, 1]"})
+    spe: float = field(metadata={"check": "in [0, 1]"})
 
     def __post_init__(self):
-        for name in ("acc", "auc", "sen", "spe"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -82,11 +82,8 @@ def synthetic_run(tmp_path_factory) -> SyntheticRun:
         early_stop_patience=0, seed=SEED,
     )
 
-    def factory(fold_index):
-        return config, init_params(config, SEED + fold_index)
-
     start = time.time()
-    report = run_cv(ds, folds, factory, train_cfg, LossWeights(), out_dir=out_dir)
+    report = run_cv(ds, folds, config, train_cfg, LossWeights(), out_dir=out_dir)
     elapsed = time.time() - start
     _, fold0_params, _ = load_checkpoint(out_dir / "fold_0" / "checkpoint.bin")
     return SyntheticRun(

@@ -1,14 +1,24 @@
 """Config parsing and the command-line surface, including exit codes."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from hierconn.cli import main
 from hierconn.config import CONFIG_KEYS, parse_config
-from hierconn.data import load_dataset
-from hierconn.errors import InvalidValue, ParseError, UnknownKey
+from hierconn.data import SyntheticSpec, load_dataset
+from hierconn.errors import InvalidSpec, InvalidValue, ParseError, UnknownKey
+
+
+SPEC = {
+    "n": 12,
+    "subject_count": 16,
+    "planted_subgraphs": [[2, 3, 4, 5]],
+    "signal_strength": 0.6,
+    "noise_level": 0.12,
+    "seed": 7,
+}
 
 
 class TestParseConfig:
@@ -93,19 +103,28 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             replace(built, **{name: value})
 
+    # building a config section or a synthetic spec in Python applies the type
+    # rule that parsing applies: a bool is no number, a string only a string
+    @pytest.mark.parametrize("path, value", [
+        *((p, v) for p, k in CONFIG_KEYS.items() for v in (True, "x") if type(v) is not k.type),
+        *((f"spec.{f.name}", v) for f in fields(SyntheticSpec) for v in (True, "x")
+          if f.name != "planted_subgraphs"),
+    ])
+    def test_wrongly_typed_field_is_rejected(self, path, value):
+        section, _, name = path.rpartition(".")
+        defaults = parse_config(None)
+        built = {
+            "model": defaults.model_config(6), "train": defaults.train_config(),
+            "loss": defaults.loss_weights(), "": defaults, "spec": SyntheticSpec(**SPEC),
+        }[section]
+        with pytest.raises((ValueError, InvalidSpec), match=f"^{name} must be an? [a-z]+, got"):
+            replace(built, **{name: value})
+
 
 @pytest.fixture()
 def synth_spec_file(tmp_path):
-    spec = {
-        "n": 12,
-        "subject_count": 16,
-        "planted_subgraphs": [[2, 3, 4, 5]],
-        "signal_strength": 0.6,
-        "noise_level": 0.12,
-        "seed": 7,
-    }
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(SPEC))
     return path
 
 
@@ -353,8 +372,8 @@ class TestExitCodes:
         assert "config key 'val_fraction'" in capsys.readouterr().err
         assert not out.exists()
 
-    # every range-checked key of the train, model and loss sections, and
-    # non-finite values of the float keys without a range, by field name
+    # every range-checked key of the train, model and loss sections, the seed,
+    # and non-finite values of the float keys without a range, by field name
     @pytest.mark.parametrize("key, value", [
         ("mixup_alpha", "0"), ("mixup_alpha", "-1"), ("mixup_alpha", "nan"),
         ("adam_beta1", "1"), ("adam_beta2", "1"), ("adam_beta2", "-0.1"),
@@ -366,7 +385,7 @@ class TestExitCodes:
         ("alpha", "nan"), ("alpha", "inf"), ("beta_max", "inf"), ("beta_max", "nan"),
         ("beta_slope", "nan"), ("beta_slope", "inf"),
         ("beta_center_fraction", "nan"), ("beta_center_fraction", "inf"),
-        ("lr", "inf"), ("lr", "nan"),
+        ("lr", "inf"), ("lr", "nan"), ("seed", "-1"),
     ])
     def test_out_of_range_optimizer_or_mixup_setting_is_data_error(
         self, key, value, synth_spec_file, tmp_path, capsys
@@ -413,19 +432,42 @@ class TestExitCodes:
         ])
         assert code == 0
         assert '"heads": 2,' in (out / "effective_config.json").read_text()
+        # a synthetic spec's int field takes one too
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "subject_count": 8.0}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ds")]) == 0
+        assert len(load_dataset(tmp_path / "ds" / "manifest.json").subjects) == 8
 
+    # a document that is no spec, or a value of the wrong type, out of range
+    # or not finite
     @pytest.mark.parametrize("doc", [
-        {
-            "n": 12, "subject_count": 16, "planted_subgraphs": [["a", 2]],
-            "signal_strength": 0.6, "noise_level": 0.12, "seed": 7,
-        },
+        {**SPEC, "planted_subgraphs": [["a", 2]]},
         [12, 16],
         b"\xff\xfe{}",  # not UTF-8
         b"",  # reads as {}, so every required field is missing
+        {**SPEC, "seed": 1.5},
+        {**SPEC, "seed": -1},
+        {**SPEC, "signal_strength": float("nan")},
+        {**SPEC, "noise_level": float("inf")},
+        {**SPEC, "atlas_blocks": 2.5},
+        {**SPEC, "planted_subgraphs": [[2, 3, 4.7]]},
+        {**SPEC, "planted_subgraphs": [[2, 3, True, 5]]},
     ])
     def test_malformed_synth_spec_is_data_error(self, doc, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
-        code = main(["synth", "--spec", str(spec), "--seed", "3", "--out", str(tmp_path / "ds")])
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ds")])
         assert code == 2
-        assert str(spec) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(spec) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "ds").exists()
+
+    # the commands whose --seed is not a config key
+    @pytest.mark.parametrize("command", ["synth", "gradcheck"])
+    def test_negative_seed_flag_is_data_error(self, command, synth_spec_file, tmp_path, capsys):
+        out = tmp_path / "ds"
+        spec = ["--spec", str(synth_spec_file), "--out", str(out)] if command == "synth" else []
+        assert main([command, *spec, "--seed", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -2" in err and len(err.splitlines()) == 1
+        assert not out.exists()

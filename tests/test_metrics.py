@@ -17,7 +17,7 @@ from hierconn.evaluate import (
 )
 from hierconn.losses import LossWeights
 from hierconn.metrics import MetricSet
-from hierconn.model import ModelConfig, init_params
+from hierconn.model import ModelConfig
 from hierconn.train import TrainConfig
 
 
@@ -146,17 +146,14 @@ def quick_cv_setup(seed=3):
         epochs=2, batch_size=8, lr=1e-3, lr_min=1e-4, seed=seed, early_stop_patience=0
     )
 
-    def factory(fold_index):
-        config = ModelConfig(n=12, d=8, heads=2, layers=1, k=3, dropout=0.1)
-        return config, init_params(config, seed + fold_index)
-
-    return ds, folds, factory, cfg
+    config = ModelConfig(n=12, d=8, heads=2, layers=1, k=3, dropout=0.1)
+    return ds, folds, config, cfg
 
 
 class TestRunCv:
     def test_every_subject_tested_once(self, tmp_path):
-        ds, folds, factory, cfg = quick_cv_setup()
-        report = run_cv(ds, folds, factory, cfg, LossWeights(), out_dir=tmp_path)
+        ds, folds, config, cfg = quick_cv_setup()
+        report = run_cv(ds, folds, config, cfg, LossWeights(), out_dir=tmp_path)
         tested = [p["subject_id"] for p in report.predictions]
         assert sorted(tested) == sorted(r.id for r in ds.subjects)
         assert len(report.folds) == 5
@@ -165,15 +162,15 @@ class TestRunCv:
             assert min(per_fold) <= report.mean[name] <= max(per_fold)
 
     def test_fold_outputs_written(self, tmp_path):
-        ds, folds, factory, cfg = quick_cv_setup()
-        run_cv(ds, folds, factory, cfg, LossWeights(), out_dir=tmp_path)
+        ds, folds, config, cfg = quick_cv_setup()
+        run_cv(ds, folds, config, cfg, LossWeights(), out_dir=tmp_path)
         for i in range(5):
             assert (tmp_path / f"fold_{i}" / "checkpoint.bin").exists()
             assert (tmp_path / f"fold_{i}" / "training_log.csv").exists()
 
     def test_threaded_matches_sequential(self, tmp_path):
-        ds, folds, factory, cfg = quick_cv_setup()
-        seq = run_cv(ds, folds, factory, cfg, LossWeights())
-        ds2, folds2, factory2, cfg2 = quick_cv_setup()
-        par = run_cv(ds2, folds2, factory2, cfg2, LossWeights(), threads=4)
+        ds, folds, config, cfg = quick_cv_setup()
+        seq = run_cv(ds, folds, config, cfg, LossWeights())
+        ds2, folds2, config2, cfg2 = quick_cv_setup()
+        par = run_cv(ds2, folds2, config2, cfg2, LossWeights(), threads=4)
         assert seq.to_dict() == par.to_dict()

@@ -315,7 +315,10 @@ class TestCheckpointContainer:
 
     @pytest.mark.parametrize(
         "defect",
-        ["short file", "no tensor index", "invalid config", "zero heads", "offset into header"],
+        [
+            "short file", "no tensor index", "invalid config", "zero heads", "bool heads",
+            "fractional d", "offset into header",
+        ],
     )
     def test_malformed_container_is_parse_error(self, defect, tmp_path):
         from hierconn.errors import ParseError
@@ -334,6 +337,10 @@ class TestCheckpointContainer:
                 header["config"]["heads"] = 3  # d=8 does not split into 3 heads
             elif defect == "zero heads":
                 header["config"]["heads"] = 0
+            elif defect == "bool heads":
+                header["config"]["heads"] = True
+            elif defect == "fractional d":
+                header["config"]["d"] = 8.5
             else:
                 header["tensors"][0]["offset"] = -8
             text = json.dumps(header, sort_keys=True).encode()
