@@ -6,6 +6,14 @@ composites, and a sparsemax op whose backward is the analytic simplex-
 projection Jacobian. Graphs are built eagerly; ``Tensor.backward`` runs an
 iterative topological sweep accumulating ``.grad`` arrays on the leaves.
 
+Backward uses up the graph: once an interior node has passed its gradient
+on, the sweep drops its ``.grad``, its backward closure (and with it the
+activations the closure saved) and its parents, so the saved arrays and
+interior gradients are freed as the sweep passes instead of when the graph
+goes away. Only leaf gradients survive. A second ``backward`` through a
+used-up node raises ``RuntimeError``; nothing backpropagates twice through
+one graph, so there is no option to keep it.
+
 The model's hot paths are three fused ops, each one graph node whose
 backward is written in closed form instead of being chained through
 primitives:
@@ -21,6 +29,12 @@ primitives:
   backward is ``P * (u - sum(u * P))`` for softmax and the support-centred
   sparsemax Jacobian (Martins & Astudillo 2016) for sparsemax, where
   ``u = (g v^T) * mask``.
+
+A dropout ``mask`` (for ``attention`` and ``dropout``) is a ``(keep, scale)``
+pair: a bool keep-mask and the inverted-dropout scale ``1 / (1 - p)``. It is
+applied as ``(x * scale) * keep``, which gives the same bits, signed zeros
+included, as multiplying by the float mask ``keep / (1 - p)``, at an eighth
+of its memory.
 
 Precision: a tensor keeps float32 data as float32 and stores anything else
 as float64, and every op computes in the dtype of its operands. Constants
@@ -65,6 +79,15 @@ def no_grad():
         _thread_state.grad_enabled = previous
 
 
+def _used_up(g):
+    """The backward of a node that an earlier sweep used up; the sweep refuses
+    such a node before running any closure."""
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() already used up; "
+        "run the forward again"
+    )
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -79,7 +102,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = float_array(data)
@@ -316,9 +339,12 @@ class Tensor:
     # -- backward pass --------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse sweep from this scalar node, accumulating into leaf ``.grad``."""
+        """Reverse sweep from this scalar node, accumulating into leaf ``.grad``
+        and using up the graph as it goes (see the module docstring)."""
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
+        if not self.requires_grad:
+            raise RuntimeError("backward() from a tensor that is not part of a graph")
         # iterative topological order (graphs can be deep at training scale)
         order: list[Tensor] = []
         state: dict[int, int] = {}
@@ -327,6 +353,8 @@ class Tensor:
             node = stack[-1]
             mark = state.get(id(node), 0)
             if mark == 0:
+                if node._backward is _used_up:
+                    _used_up(None)
                 state[id(node)] = 1
                 for parent in node._parents:
                     if state.get(id(parent), 0) == 0:
@@ -337,9 +365,14 @@ class Tensor:
                     state[id(node)] = 2
                     order.append(node)
         self.grad = np.ones_like(self.data, dtype=np.float64)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            backward, grad = node._backward, node.grad
+            if backward is None:
+                continue  # a leaf keeps its accumulated gradient
+            node.grad, node._backward, node._parents = None, _used_up, ()
+            if grad is not None:
+                backward(grad)
 
 
 def as_tensor(value) -> Tensor:
@@ -416,14 +449,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor._make(out, (x, gain, bias), backward)
 
 
+def _apply_mask(x: np.ndarray, mask: tuple[np.ndarray, float], out=None) -> np.ndarray:
+    """``(x * scale) * keep``, written to ``out`` if given."""
+    keep, scale = mask
+    if keep.dtype != np.bool_:
+        # a float multiplier array would unpack as a (keep, scale) pair unnoticed
+        raise TypeError(f"dropout keep-mask must be bool, got {keep.dtype}")
+    out = np.multiply(x, scale, out=out)
+    out *= keep
+    return out
+
+
+def dropout(x: Tensor, mask: tuple[np.ndarray, float]) -> Tensor:
+    """Inverted dropout of ``x`` by a ``(keep, scale)`` mask of its shape."""
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_apply_mask(g, mask))
+
+    return Tensor._make(_apply_mask(x.data, mask), (x,), backward)
+
+
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, activation: str, mask: np.ndarray | None = None
+    q: Tensor, k: Tensor, v: Tensor, activation: str,
+    mask: tuple[np.ndarray, float] | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention over the last two axes, leading axes broadcast.
 
-    ``activation`` is ``"softmax"`` or ``"sparsemax"``; ``mask`` multiplies the
-    probabilities (inverted dropout) and must have their broadcast shape.
-    Returns the output and the probabilities before the mask.
+    ``activation`` is ``"softmax"`` or ``"sparsemax"``; the ``(keep, scale)``
+    dropout ``mask`` multiplies the probabilities and its keep-mask must have
+    their broadcast shape. Returns the output and the probabilities before
+    the mask.
     """
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = q.data @ k.data.swapaxes(-1, -2)
@@ -434,17 +490,17 @@ def attention(
         p = sparsemax_rows(scores)
     else:
         raise ValueError(f"unknown attention activation {activation!r}")
-    weights = p if mask is None else p * mask
+    weights = p if mask is None else _apply_mask(p, mask)
 
     def backward(g):
         if v.requires_grad:
-            weights = p if mask is None else p * mask
+            weights = p if mask is None else _apply_mask(p, mask)
             v._accumulate(_unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
         upstream = g @ v.data.swapaxes(-1, -2)
         if mask is not None:
-            upstream *= mask
+            _apply_mask(upstream, mask, out=upstream)
         if activation == "softmax":
             upstream -= (upstream * p).sum(axis=-1, keepdims=True)
             ds = upstream * p

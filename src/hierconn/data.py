@@ -89,8 +89,11 @@ class SubjectRecord:
     matrix: ConnectivityMatrix
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise InvariantViolation("label must be 0 or 1", subject_id=self.id)
+        # the manifest loader's rule, so every record can be saved and reloaded
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise InvariantViolation(
+                f"label must be the integer 0 or 1, got {self.label!r}", subject_id=self.id
+            )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, attention, concat, layer_norm, linear
+from .autodiff import Tensor, as_tensor, attention, concat, dropout, layer_norm, linear
 from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 
 LN_EPS = 1e-5
@@ -191,16 +191,17 @@ def _check_finite(name: str, t: Tensor) -> Tensor:
     return t
 
 
-def _dropout_mask(shape, p: float, rng) -> np.ndarray:
+def _dropout_mask(shape, p: float, rng) -> tuple[np.ndarray, float]:
+    """A ``(keep, scale)`` inverted-dropout mask: bool keep draws and ``1 / (1 - p)``."""
     if rng is None:
         raise ValueError("train-mode dropout needs an rng for determinism")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
 
 
 def _dropout(x: Tensor, p: float, train: bool, rng) -> Tensor:
     if not train or p <= 0.0:
         return x
-    return x * Tensor(_dropout_mask(x.shape, p, rng))
+    return dropout(x, _dropout_mask(x.shape, p, rng))
 
 
 def _split_heads(x: Tensor, heads: int, d_h: int) -> Tensor:

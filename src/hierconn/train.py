@@ -182,6 +182,21 @@ def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[floa
     return metrics.acc, metrics.auc
 
 
+def _train_step(xb, yb, params, config, state, cfg, weights, lr_t, step, total_steps, rng):
+    """Forward, loss, backward and optimizer step on one batch; returns the
+    loss breakdown. The step's graph and gradients live only in this frame,
+    so they are gone before the next batch's forward."""
+    out = forward_batch(xb, params, config, mode="train", rng=rng)
+    total, breakdown = total_loss_graph(out, yb, step, total_steps, weights)
+    params.zero_grad()
+    try:
+        total.backward()
+        optimizer_step(params, collect_gradients(params), state, lr_t, cfg)
+    finally:
+        params.zero_grad()
+    return breakdown
+
+
 def fit(
     train_records: list[SubjectRecord],
     val_records: list[SubjectRecord],
@@ -234,12 +249,10 @@ def fit(
             lr_t = cosine_lr(global_step, total_steps, cfg.lr, cfg.lr_min)
             drop_rng = np.random.default_rng([cfg.seed, 17, epoch, batch_index])
             try:
-                out = forward_batch(xb, params, config, mode="train", rng=drop_rng)
-                total, breakdown = total_loss_graph(out, yb, global_step, total_steps, weights)
-                params.zero_grad()
-                total.backward()
-                grads = collect_gradients(params)
-                optimizer_step(params, grads, state, lr_t, cfg)
+                breakdown = _train_step(
+                    xb, yb, params, config, state, cfg, weights,
+                    lr_t, global_step, total_steps, drop_rng,
+                )
             except NumericalError:
                 # any numerical blowup in the step (non-finite scores,
                 # activations or gradients, a zero-norm token) skips the

@@ -1,4 +1,8 @@
-"""Engine-level gradient checks: every op against central finite differences."""
+"""Engine-level gradient checks: every op against central finite differences,
+and the backward sweep using up the graph as it goes."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hierconn.autodiff import (
     Tensor,
     attention,
     concat,
+    dropout,
     layer_norm,
     linear,
     log_softmax,
@@ -169,13 +174,21 @@ class TestFusedOps:
 
     def test_attention_sparsemax_gradient_with_mask(self):
         # broadcast (1, heads, Tq, d) query against (B, heads, Tk, d) keys
-        mask = (np.random.default_rng(7).random((2, 2, 3, 6)) >= 0.3) / 0.7
+        mask = np.random.default_rng(7).random((2, 2, 3, 6)) >= 0.3, 1.0 / 0.7
 
         def build(q, k, v):
             out, _ = attention(q * 3.0, k, v, "sparsemax", mask)
             return (out * out).sum()
 
         check_op(build, [(1, 2, 3, 4), (2, 2, 6, 4), (2, 2, 6, 4)], seed=8, atol=1e-6)
+
+    def test_float_mask_is_refused(self):
+        # the float multipliers the (keep, scale) pair replaced
+        t = Tensor(np.ones((2, 3, 3)))
+        with pytest.raises(TypeError, match="keep-mask must be bool"):
+            attention(t, t, t, "softmax", np.full((2, 3, 3), 1.25))
+        with pytest.raises(TypeError, match="keep-mask must be bool"):
+            dropout(t, (np.ones((2, 3, 3)), 1.25))
 
     def test_attention_rejects_unknown_activation(self):
         t = Tensor(np.ones((2, 3)))
@@ -202,9 +215,9 @@ class TestGraphMechanics:
         with no_grad():
             y = (x * 2.0).sum()
         assert y._backward is None
-        with pytest.raises(Exception):
+        with pytest.raises(RuntimeError, match="not part of a graph"):
             y.backward()
-            assert x.grad is not None  # unreachable; backward above is a no-op path
+        assert x.grad is None
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -215,3 +228,91 @@ class TestGraphMechanics:
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         (x.detach() * x).sum().backward()
         np.testing.assert_allclose(x.grad, x.data)  # only the live branch
+
+
+class TestBackwardUsesUpGraph:
+    @staticmethod
+    def build(x, w, b, gain, bias, keep):
+        """A scalar over a graph with fused, elementwise and shape ops."""
+        h = dropout(linear(x, w, b).gelu(), (keep, 2.0))
+        normed = layer_norm(h, gain, bias, 1e-5)
+        out, _ = attention(normed, normed, normed, "softmax", (keep, 2.0))
+        return (out * out).sum()
+
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 3)),
+                       rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)]
+        self.keep = rng.random((2, 3, 3)) >= 0.3
+
+    def interior_nodes(self, root):
+        seen, stack, nodes = {id(root)}, [root], []
+        while stack:
+            node = stack.pop()
+            if node._backward is not None:
+                nodes.append(node)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return nodes
+
+    def test_interior_nodes_are_emptied_and_leaf_grads_exact(self):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in self.arrays]
+        loss = self.build(*leaves, self.keep)
+        interior = self.interior_nodes(loss)
+        assert len(interior) > 5
+        loss.backward()
+        for node in interior:
+            assert node.grad is None
+            assert node._parents == ()
+            assert getattr(node._backward, "__closure__", None) is None  # captures nothing
+        fd = finite_diff(lambda *a: self.build(*map(Tensor, a), self.keep).item(),
+                         [a.copy() for a in self.arrays])
+        for leaf, expect in zip(leaves, fd):
+            np.testing.assert_allclose(leaf.grad, expect, atol=1e-6)
+
+    def test_used_up_graph_is_freed(self):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in self.arrays]
+        loss = self.build(*leaves, self.keep)
+        refs = [weakref.ref(node) for node in self.interior_nodes(loss) if node is not loss]
+        loss.backward()
+        assert all(ref() is None for ref in refs)
+
+    def test_second_backward_raises(self):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in self.arrays]
+        loss = self.build(*leaves, self.keep)
+        loss.backward()
+        grads = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(RuntimeError, match="already used up"):
+            loss.backward()
+        for leaf, grad in zip(leaves, grads):
+            np.testing.assert_array_equal(leaf.grad, grad)
+
+    def test_backward_through_used_up_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="already used up"):
+            (y * 3.0).sum().backward()
+
+    def test_backward_memory_stays_at_a_few_arrays(self):
+        # a chain of L elementwise ops over one array: keeping the interior
+        # gradients until the graph goes away would cost L arrays
+        size, length = 50_000, 60
+        x = Tensor(np.random.default_rng(0).normal(size=size), requires_grad=True)
+        y = x
+        for _ in range(length):
+            y = y * 1.0001
+        loss = y.sum()
+        del y
+        array_bytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra < 4 * array_bytes, extra / array_bytes
+        np.testing.assert_allclose(x.grad, np.full(size, 1.0001**length))

@@ -237,6 +237,24 @@ class TestLoadDataset:
         with pytest.raises(InvariantViolation, match="subject 'a'"):
             DatasetManifest(subjects=records)
 
+    def test_python_built_dataset_roundtrips(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = DatasetManifest(subjects=[
+            SubjectRecord(sid, label, ConnectivityMatrix(valid_matrix(rng)))
+            for sid, label in [("a", 0), ("b", 1)]
+        ])
+        loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
+        assert [(r.id, r.label) for r in loaded.subjects] == [("a", 0), ("b", 1)]
+        assert all(type(r.label) is int for r in loaded.subjects)
+        for a, b in zip(loaded.subjects, ds.subjects):
+            assert np.array_equal(a.matrix.values, b.matrix.values)
+
+    @pytest.mark.parametrize("label", [True, False, 0.0, 1.0, np.int64(1), 2, -1, "1"])
+    def test_record_label_must_be_int_zero_or_one(self, label):
+        matrix = ConnectivityMatrix(valid_matrix(np.random.default_rng(4)))
+        with pytest.raises(InvariantViolation, match="subject 'a': label must be the integer"):
+            SubjectRecord("a", label, matrix)
+
     def test_save_load_roundtrip(self, tmp_path):
         spec = SyntheticSpec(
             n=12, subject_count=6, planted_subgraphs=[(2, 3, 4, 5)],

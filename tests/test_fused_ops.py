@@ -4,13 +4,14 @@ The composites below are the graph-node chains the model used before the
 fused ops existed; they are kept here only as oracles. Values and gradients
 must agree to 1e-12 for random shapes, both attention activations, with and
 without a dropout mask, and with a query broadcast over the batch axis.
+Dropout is checked bit for bit against the float-multiplier mask it replaced.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierconn.autodiff import Tensor, attention, layer_norm, linear
+from hierconn.autodiff import Tensor, attention, dropout, layer_norm, linear
 from hierconn.model import LN_EPS
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -99,10 +100,26 @@ def test_attention_matches_composite(
     arrays = [rng.normal(size=(q_batch, heads, tq, d_h)) * 2.0,
               rng.normal(size=(batch, heads, tk, d_h)),
               rng.normal(size=(batch, heads, tk, d_h))]
-    mask = None
+    mask = multipliers = None
     if dropout:
-        mask = (rng.random((batch, heads, tq, tk)) >= dropout) / (1.0 - dropout)
+        keep = rng.random((batch, heads, tq, tk)) >= dropout
+        mask, multipliers = (keep, 1.0 / (1.0 - dropout)), keep / (1.0 - dropout)
     assert_same(
         run(lambda q, k, v: attention(q, k, v, activation, mask), arrays, seed),
-        run(lambda q, k, v: composite_attention(q, k, v, activation, mask), arrays, seed),
+        run(lambda q, k, v: composite_attention(q, k, v, activation, multipliers), arrays, seed),
     )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=seeds, batch=dims, rows=dims, d=dims, rate=st.sampled_from([0.1, 0.3, 0.5]))
+def test_dropout_matches_float_mask_bit_for_bit(seed, batch, rows, d, rate):
+    # the (keep, scale) mask gives the bits of the float multipliers it replaced,
+    # the signs of dropped zeros included
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(batch, rows, d))]
+    keep = rng.random((batch, rows, d)) >= rate
+    fused = run(lambda x: dropout(x, (keep, 1.0 / (1.0 - rate))), arrays, seed)
+    composite = run(lambda x: x * Tensor(keep / (1.0 - rate)), arrays, seed)
+    for got, expect in ((fused[0], composite[0]), (fused[2][0], composite[2][0])):
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))

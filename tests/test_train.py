@@ -2,6 +2,7 @@
 
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +236,39 @@ class TestFit:
             params, config, cfg, LossWeights(),
         )
         assert report.skipped_batches == report.total_steps
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["steps", "skipped"])
+    def test_each_step_graph_freed_before_next_forward(self, monkeypatch, skip):
+        # a step's graph (reached through its logits) and its parameter
+        # gradients must be gone when the next forward starts, whether the
+        # step completed or was skipped
+        ds, split, config, params, cfg = tiny_setup(epochs=2)
+        import hierconn.train as train_mod
+
+        original = train_mod.forward_batch
+        refs, modes = [], []
+
+        def tracking_forward(matrices, params, config, **kwargs):
+            assert all(ref() is None for ref in refs), f"forward {len(refs)}: graph alive"
+            assert all(params[name].grad is None for name in params.names())
+            out = original(matrices, params, config, **kwargs)
+            refs.append(weakref.ref(out.z_g))
+            modes.append(kwargs["mode"])
+            return out
+
+        def bad_collect(_params):
+            raise NonFiniteGradient("injected")
+
+        monkeypatch.setattr(train_mod, "forward_batch", tracking_forward)
+        if skip:
+            monkeypatch.setattr(train_mod, "collect_gradients", bad_collect)
+        report = fit(
+            ds.subset(split.train_ids), ds.subset(split.val_ids),
+            params, config, cfg, LossWeights(),
+        )
+        assert modes.count("train") == report.total_steps > 2
+        assert report.skipped_batches == (report.total_steps if skip else 0)
+        assert all(ref() is None for ref in refs)
 
 
 class TestLearnability:
