@@ -1,8 +1,9 @@
 """Versioned binary parameter container.
 
 Layout: magic, format version, header length, JSON header (model config,
-metadata, tensor index with shapes and offsets), then raw little-endian
-float64 payloads. Raw bytes in and out, so round-trips are bit-exact.
+metadata, tensor index with shapes and offsets), then ``ModelParams.flat`` as
+raw little-endian float64. The index must match the tensor layout of the
+header's config. Raw bytes in and out, so round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -15,11 +16,20 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ParseError
-from .model import ModelConfig, ModelParams
+from .errors import ParseError, ShapeMismatch
+from .model import ModelConfig, ModelParams, param_specs
 
 CHECKPOINT_MAGIC = b"HCKP"
 CHECKPOINT_VERSION = 1
+
+
+def _tensor_index(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
+    """Name, shape and payload byte offset of each tensor, packed in name order."""
+    index, offset = [], 0
+    for name in sorted(shapes):
+        index.append({"name": name, "shape": list(shapes[name]), "offset": offset})
+        offset += math.prod(shapes[name]) * 8
+    return index
 
 
 def save_checkpoint(
@@ -29,25 +39,17 @@ def save_checkpoint(
     meta: dict | None = None,
 ) -> Path:
     path = Path(path)
-    names = params.names()
-    tensors = []
-    offset = 0
-    for name in names:
-        arr = params[name].data
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
     header = {
         "config": config.to_dict(),
         "meta": meta or {},
-        "tensors": tensors,
+        "tensors": _tensor_index({name: t.data.shape for name, t in params.tensors.items()}),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
         f.write(header_bytes)
-        for name in names:
-            f.write(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
+        f.write(params.flat.astype("<f8", copy=False))
     return path
 
 
@@ -66,23 +68,19 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, ModelParams, dict]:
     try:  # JSON and Unicode decode errors are ValueErrors, as are ModelConfig's checks
         header = json.loads(blob[16 : 16 + header_len].decode())
         config = ModelConfig(**header["config"])
-        tensors = [(spec["name"], tuple(spec["shape"]), spec["offset"]) for spec in header["tensors"]]
+        index = [(spec["name"], spec["shape"], spec["offset"]) for spec in header["tensors"]]
         meta = header["meta"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: corrupt header: {exc!r}") from exc
+    shapes = {name: shape for name, (shape, _) in param_specs(config).items()}
+    layout = [(t["name"], t["shape"], t["offset"]) for t in _tensor_index(shapes)]
+    if [entry[:2] for entry in index] != [entry[:2] for entry in layout]:
+        raise ShapeMismatch(f"{path}: tensor names or shapes differ from its config's layout")
+    if index != layout:
+        raise ParseError(f"{path}: tensors are not packed back to back in name order")
+    size = sum(math.prod(shape) for shape in shapes.values())
     payload = 16 + header_len
-    arrays = {}
-    offset = 0  # tensors are packed back to back in header order
-    for name, shape, start in tensors:
-        if start != offset or not isinstance(start, int):
-            raise ParseError(f"{path}: tensor {name} at offset {start!r}, expected {offset}")
-        size = math.prod(shape)
-        offset += size * 8
-        if payload + offset > len(blob):
-            raise ParseError(f"{path}: truncated tensor payload for {name}")
-        arrays[name] = (
-            np.frombuffer(blob, dtype="<f8", count=size, offset=payload + start)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-    return config, ModelParams.from_state_arrays(config, arrays), meta
+    if payload + size * 8 > len(blob):
+        raise ParseError(f"{path}: truncated tensor payload")
+    flat = np.frombuffer(blob, dtype="<f8", count=size, offset=payload).astype(np.float64)
+    return config, ModelParams(shapes, flat), meta

@@ -89,7 +89,9 @@ class SubjectRecord:
     matrix: ConnectivityMatrix
 
     def __post_init__(self):
-        # the manifest loader's rule, so every record can be saved and reloaded
+        # the manifest loader's rules, so every record can be saved and reloaded
+        if not isinstance(self.id, str):
+            raise InvariantViolation(f"id must be a string, got {self.id!r}", subject_id=self.id)
         if type(self.label) is not int or self.label not in (0, 1):
             raise InvariantViolation(
                 f"label must be the integer 0 or 1, got {self.label!r}", subject_id=self.id
@@ -105,6 +107,8 @@ class DatasetManifest:
         object.__setattr__(self, "subjects", tuple(self.subjects))
         if self.atlas_labels is not None:
             object.__setattr__(self, "atlas_labels", tuple(self.atlas_labels))
+            if not all(isinstance(a, str) for a in self.atlas_labels):  # the loader's rule
+                raise InvariantViolation(f"atlas labels must be strings, got {self.atlas_labels!r}")
         if not self.subjects:
             raise InvariantViolation("dataset has no subjects")
         n = self.subjects[0].matrix.n
@@ -403,11 +407,14 @@ def stack_records(records: list[SubjectRecord]) -> tuple[np.ndarray, np.ndarray]
     return matrices, labels
 
 
-def _carve(ids, fraction: float, rng) -> tuple[list[str], list[str]]:
-    """Shuffle ``ids`` with ``rng``; the first ``round(fraction * len)`` are
-    validation. Returns (train, validation)."""
-    shuffled = rng.permutation(ids).tolist()
+def _carve(ids, fraction: float, seed_key, label: int, split: str) -> tuple[list[str], list[str]]:
+    """Shuffle class ``label``'s ``ids`` by ``seed_key``; the first ``round(fraction * len)``
+    are validation. Returns (train, validation), refusing an empty one."""
+    shuffled = np.random.default_rng(seed_key).permutation(ids).tolist()
     n_val = int(round(fraction * len(shuffled)))
+    if not 0 < n_val < len(shuffled):
+        raise TooFewSubjects(f"{split}: validation fraction {fraction} of class {label}'s "
+                             f"{len(shuffled)} subjects leaves an empty train or validation share")
     return shuffled[n_val:], shuffled[:n_val]
 
 
@@ -440,7 +447,7 @@ def stratified_kfold(
         for label, chunks in test_chunks.items():
             pool = [sid for g, chunk in enumerate(chunks) if g != f for sid in chunk]
             fold_train, fold_val = _carve(
-                pool, val_fraction, np.random.default_rng([seed, 211, f, label])
+                pool, val_fraction, [seed, 211, f, label], label, f"fold {f}"
             )
             train += fold_train
             val += fold_val
@@ -456,11 +463,9 @@ def stratified_holdout(
     train, val = [], []
     for label in (0, 1):
         ids = sorted(rec.id for rec in ds.subjects if rec.label == label)
-        label_train, label_val = _carve(ids, val_fraction, np.random.default_rng([seed, 307, label]))
+        label_train, label_val = _carve(ids, val_fraction, [seed, 307, label], label, "holdout")
         train += label_train
         val += label_val
-    if not val or not train:
-        raise TooFewSubjects("holdout split left an empty train or validation set")
     return tuple(sorted(train)), tuple(sorted(val))
 
 

@@ -62,9 +62,9 @@ def _fixture(seed: int):
         if name.endswith(("ln_g", "ln_b")):
             continue
         if tensor.data.any():  # normals only; zero biases stay zero
-            tensor.data = tensor.data * WEIGHT_SCALE
+            tensor.data *= WEIGHT_SCALE
         else:
-            tensor.data = rng.normal(0.0, 0.1, size=tensor.data.shape)
+            tensor.data[...] = rng.normal(0.0, 0.1, size=tensor.data.shape)
     m = rng.normal(0.0, 0.3, size=(6, 6))
     m = np.clip((m + m.T) / 2.0, -0.99, 0.99)
     np.fill_diagonal(m, 1.0)

@@ -15,6 +15,7 @@ an ``EVAL_DTYPE`` copy of them (``ModelParams.astype``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -61,20 +62,19 @@ class ModelConfig:
         return asdict(self)
 
 
-def _check_state(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
-    if set(arrays) != set(shapes):
-        missing = set(shapes) ^ set(arrays)
-        raise ShapeMismatch(f"state keys mismatch: {sorted(missing)}")
-    for name, value in arrays.items():
-        if value.shape != shapes[name]:
-            raise ShapeMismatch(f"{name}: shape {value.shape} != {shapes[name]}")
-
-
 class ModelParams:
-    """All learnable tensors, keyed by dotted name."""
+    """All learnable tensors, keyed by dotted name, of the given shapes: views into
+    ``flat``, one contiguous array that holds them in name order. Write tensors in
+    place; a tensor whose ``data`` is rebound no longer belongs to ``flat``."""
 
-    def __init__(self, tensors: dict[str, Tensor]):
-        self.tensors = tensors
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray, requires_grad=True):
+        self.flat = flat
+        names = sorted(shapes)
+        views = np.split(flat, np.cumsum([math.prod(shapes[name]) for name in names])[:-1])
+        self.tensors = {
+            name: Tensor(view.reshape(shapes[name]), requires_grad)
+            for name, view in zip(names, views)
+        }
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -86,23 +86,10 @@ class ModelParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: self.tensors[name].data for name in self.names()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        _check_state(arrays, {name: t.data.shape for name, t in self.tensors.items()})
-        for name, value in arrays.items():
-            self.tensors[name].data = np.asarray(value, dtype=np.float64)
-
-    @classmethod
-    def from_state_arrays(cls, config: "ModelConfig", arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """The parameters of ``config``, holding ``arrays`` (not copied)."""
-        _check_state(arrays, {name: shape for name, (shape, _) in param_specs(config).items()})
-        return cls({name: Tensor(value, requires_grad=True) for name, value in arrays.items()})
-
     def astype(self, dtype) -> "ModelParams":
         """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards."""
-        return ModelParams({name: Tensor(t.data.astype(dtype)) for name, t in self.tensors.items()})
+        shapes = {name: t.shape for name, t in self.tensors.items()}
+        return ModelParams(shapes, self.flat.astype(dtype), requires_grad=False)
 
 
 def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
@@ -149,15 +136,16 @@ def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Zero-mean normal (0.02 std) weights and tokens, identity layer norms."""
     rng = np.random.default_rng([seed, 1000])
-    init = {
-        "normal": lambda shape: rng.normal(0.0, INIT_STD, size=shape),
-        "zeros": np.zeros,
-        "ones": np.ones,
-    }
-    return ModelParams({
-        name: Tensor(init[kind](shape), requires_grad=True)
-        for name, (shape, kind) in param_specs(config).items()
-    })
+    specs = param_specs(config)
+    shapes = {name: shape for name, (shape, _) in specs.items()}
+    params = ModelParams(shapes, np.zeros(sum(math.prod(shape) for shape in shapes.values())))
+    for name, (_, kind) in specs.items():
+        if kind == "normal":  # rng.normal(0.0, INIT_STD)'s values, drawn straight into ``flat``
+            rng.standard_normal(out=params[name].data)
+            params[name].data *= INIT_STD
+        elif kind == "ones":
+            params[name].data[...] = 1.0
+    return params
 
 
 @dataclass

@@ -69,11 +69,11 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """First/second moment accumulators, laid out like ``params.flat``, and step counter."""
 
     def __init__(self, params: ModelParams):
-        self.m = {name: np.zeros_like(params[name].data) for name in params.names()}
-        self.v = {name: np.zeros_like(params[name].data) for name in params.names()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.step = 0
 
 
@@ -105,7 +105,7 @@ def optimizer_step(
     lr_t: float,
     cfg: TrainConfig,
 ) -> None:
-    """One decoupled-weight-decay adaptive step over every named tensor.
+    """One decoupled-weight-decay adaptive step over ``params.flat``.
 
     Weight decay multiplies parameters directly (never enters the moment
     estimates); moments are bias-corrected. Raises NonFiniteGradient before
@@ -113,6 +113,8 @@ def optimizer_step(
     """
     names = params.names()
     for name in names:
+        if params[name].data.base is not params.flat:
+            raise ShapeMismatch(f"{name}: data rebound, no longer a view into params.flat")
         if name not in grads:
             raise ShapeMismatch(f"missing gradient for {name}")
         if grads[name].shape != params[name].data.shape:
@@ -122,26 +124,31 @@ def optimizer_step(
             )
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteGradient(f"non-finite gradient in {name}")
+    g = np.concatenate([grads[name].ravel() for name in names])
     if cfg.grad_clip_norm is not None:
-        total_sq = sum(float(np.sum(g * g)) for g in grads.values())
-        norm = math.sqrt(total_sq)
+        norm = math.sqrt(sum(float(np.sum(grads[name] * grads[name])) for name in names))
         if norm > cfg.grad_clip_norm:
-            scale = cfg.grad_clip_norm / norm
-            grads = {name: g * scale for name, g in grads.items()}
+            g *= cfg.grad_clip_norm / norm
     state.step += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
-    for name in names:
-        p = params[name]
-        g = grads[name]
-        if cfg.weight_decay:
-            p.data = p.data * (1.0 - lr_t * cfg.weight_decay)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        p.data = p.data - lr_t * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    # in-place passes in the operation order of p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+    if cfg.weight_decay:
+        params.flat *= 1.0 - lr_t * cfg.weight_decay
+    scratch = (1.0 - b1) * g
+    state.m *= b1
+    state.m += scratch
+    state.v *= b2
+    g *= g
+    g *= 1.0 - b2
+    state.v += g
+    step = np.divide(state.m, bias1, out=g)
+    step *= lr_t
+    denom = np.sqrt(np.divide(state.v, bias2, out=scratch), out=scratch)
+    denom += cfg.adam_eps
+    step /= denom
+    params.flat -= step
 
 
 def collect_gradients(params: ModelParams) -> dict[str, np.ndarray]:
@@ -228,7 +235,7 @@ def fit(
     history: list[dict] = []
     best_key = (-math.inf, -math.inf)
     best_epoch = 0
-    best_state: dict[str, np.ndarray] | None = None
+    best_state: np.ndarray | None = None
     skipped = 0
     epochs_run = 0
     stale = 0
@@ -283,7 +290,7 @@ def fit(
             # and the ramped-in consistency refinement
             best_key = key
             best_epoch = epoch
-            best_state = {name: arr.copy() for name, arr in params.state_arrays().items()}
+            best_state = params.flat.copy()
         if improved:
             stale = 0
         else:
@@ -292,7 +299,7 @@ def fit(
                 break
 
     if best_state is not None:
-        params.load_state_arrays(best_state)
+        params.flat[...] = best_state
 
     report = TrainReport(
         best_epoch=best_epoch,

@@ -28,11 +28,17 @@ class Unprintable(float):
     __format__ = __repr__
 
 
+class Unserializable(np.ndarray):
+    def astype(self, *args, **kwargs):
+        raise RuntimeError("fails part-way through the write")
+
+
 def failing_writes(tmp_path):
     """(final path, callable that writes part of it and then raises)."""
     config = ModelConfig(n=6, d=4, heads=2, layers=1, k=2)
     params = init_params(config, 0)
-    params["head.w2"].data = np.array([["not a number"]])  # fails after earlier tensors
+    # the payload fails to serialize once the header is in the temporary file
+    params.flat = params.flat.view(Unserializable)
 
     def write_checkpoint():
         save_checkpoint(tmp_path / "checkpoint.bin", config, params)

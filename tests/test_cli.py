@@ -1,13 +1,22 @@
 """Config parsing and the command-line surface, including exit codes."""
 
 import json
+import struct
 from dataclasses import fields, replace
 
 import pytest
 
+from hierconn.checkpoint import save_checkpoint
 from hierconn.cli import main
 from hierconn.config import CONFIG_KEYS, parse_config
-from hierconn.data import SyntheticSpec, load_dataset
+from hierconn.data import (
+    DatasetManifest,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
+from hierconn.model import ModelConfig, init_params
 from hierconn.errors import InvalidSpec, InvalidValue, ParseError, UnknownKey
 
 
@@ -244,8 +253,45 @@ class TestEvaluateCommand:
         for i in range(5):
             assert (out / f"fold_{i}" / "checkpoint.bin").exists()
 
+    def test_class_without_validation_subjects_is_refused_before_training(self, tmp_path, capsys):
+        # 5 controls over 5 folds leave 4 per fold, and 10% of 4 rounds to none
+        ds = generate_synthetic(SyntheticSpec(**{**SPEC, "subject_count": 30}))
+        controls = [rec for rec in ds.subjects if rec.label == 0][:5]
+        patients = [rec for rec in ds.subjects if rec.label == 1]
+        manifest = save_dataset(DatasetManifest(controls + patients), tmp_path / "ds")
+        out = tmp_path / "x"
+        code = main([
+            "evaluate", "--data", str(manifest), "--out", str(out),
+            *fast_flags(tmp_path), "--val-fraction", "0.1",
+        ])
+        assert code == 2
+        assert "fold 0: validation fraction 0.1 of class 0's 4 subjects" in capsys.readouterr().err
+        assert not list(out.glob("fold_*"))
+
 
 class TestInterpretCommand:
+    def test_malformed_checkpoint_index_is_data_error(self, synth_spec_file, tmp_path, capsys):
+        ds_out = tmp_path / "ds"
+        main(["synth", "--spec", str(synth_spec_file), "--out", str(ds_out)])
+        config = ModelConfig(n=SPEC["n"], d=8, heads=2, layers=1, k=3)
+        path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 0))
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + header_len])
+        header["tensors"][0]["shape"] = "ab"
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len :])
+        capsys.readouterr()
+        out = tmp_path / "interp"
+        code = main([
+            "interpret", "--checkpoint", str(path), "--data", str(ds_out / "manifest.json"),
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1  # one line, no traceback
+        assert not out.exists()
+
     def test_end_to_end(self, synth_spec_file, tmp_path):
         train_out = tmp_path / "run"
         main(

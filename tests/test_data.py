@@ -242,10 +242,11 @@ class TestLoadDataset:
         ds = DatasetManifest(subjects=[
             SubjectRecord(sid, label, ConnectivityMatrix(valid_matrix(rng)))
             for sid, label in [("a", 0), ("b", 1)]
-        ])
+        ], atlas_labels=["l0", "l1", "l2", "l3"])
         loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
         assert [(r.id, r.label) for r in loaded.subjects] == [("a", 0), ("b", 1)]
         assert all(type(r.label) is int for r in loaded.subjects)
+        assert loaded.atlas_labels == ds.atlas_labels
         for a, b in zip(loaded.subjects, ds.subjects):
             assert np.array_equal(a.matrix.values, b.matrix.values)
 
@@ -254,6 +255,20 @@ class TestLoadDataset:
         matrix = ConnectivityMatrix(valid_matrix(np.random.default_rng(4)))
         with pytest.raises(InvariantViolation, match="subject 'a': label must be the integer"):
             SubjectRecord("a", label, matrix)
+
+    # what the manifest loader refuses, the types refuse, so save_dataset never
+    # writes a manifest that load_dataset cannot read
+    @pytest.mark.parametrize("sid", [5, None, b"a", ("a",)])
+    def test_record_id_must_be_a_string(self, sid):
+        matrix = ConnectivityMatrix(valid_matrix(np.random.default_rng(4)))
+        with pytest.raises(InvariantViolation, match="id must be a string"):
+            SubjectRecord(sid, 0, matrix)
+
+    @pytest.mark.parametrize("atlas", [(1, 2, 3, 4), ("l0", None, "l2", "l3")])
+    def test_atlas_labels_must_be_strings(self, atlas):
+        subjects = two_class_dataset((1, 1), n=4).subjects
+        with pytest.raises(InvariantViolation, match="atlas labels must be strings"):
+            DatasetManifest(subjects=subjects, atlas_labels=atlas)
 
     def test_save_load_roundtrip(self, tmp_path):
         spec = SyntheticSpec(
@@ -392,6 +407,13 @@ class TestStratifiedKfold:
         ds = two_class_dataset((4, 9))
         with pytest.raises(TooFewSubjects):
             stratified_kfold(ds, k=5, seed=8)
+
+    def test_class_with_empty_validation_share_is_refused(self):
+        # 5 controls over 5 folds leave 4 per fold, and 10% of 4 rounds to none
+        ds = two_class_dataset((5, 15))
+        message = "fold 0: validation fraction 0.1 of class 0's 4 subjects"
+        with pytest.raises(TooFewSubjects, match=message):
+            stratified_kfold(ds, k=5, val_fraction=0.1, seed=0)
 
 
 class TestStratifiedHoldout:

@@ -39,7 +39,7 @@ def spread_params(seed=6):
     params = init_params(CONFIG, seed)
     for name in params.names():
         if name.endswith(("w", "wq", "wk", "wv", "wo", "w1", "w2", "tokens", "token")):
-            params[name].data = params[name].data * 10.0
+            params[name].data *= 10.0
     return params
 
 

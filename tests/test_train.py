@@ -1,6 +1,7 @@
 """Optimizer, schedule, and training-loop contracts."""
 
 import json
+import math
 import struct
 import weakref
 
@@ -11,10 +12,12 @@ from hierconn.autodiff import Tensor, no_grad
 from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, planted_edge_means, stratified_kfold
 from hierconn.errors import (
+    DataError,
     EmptyDataset,
     NonFiniteActivation,
     NonFiniteGradient,
     NonFiniteInput,
+    ShapeMismatch,
     ZeroNormToken,
 )
 from hierconn.losses import LossWeights, total_loss_graph
@@ -47,7 +50,7 @@ class TestCosineLr:
 
 
 def scalar_params(value=0.5):
-    return ModelParams({"w": Tensor(np.array([value]), requires_grad=True)})
+    return ModelParams({"w": (1,)}, np.array([value]))
 
 
 class TestOptimizerStep:
@@ -107,6 +110,101 @@ class TestOptimizerStep:
                 optimizer_step(params, {"w": np.array([0.1 * (step + 1)])}, state, 1e-3, cfg)
             results.append(params["w"].data.copy())
         assert np.array_equal(results[0], results[1])
+
+
+def assert_views_flat(params):
+    """Every tensor's data is a view into ``params.flat``, which holds them in name order."""
+    for name in params.names():
+        assert params[name].data.base is params.flat, name
+    np.testing.assert_array_equal(
+        params.flat, np.concatenate([params[name].data.ravel() for name in params.names()])
+    )
+
+
+def per_tensor_step(values, grads, m, v, step, lr_t, cfg):
+    """The per-tensor AdamW loop, the reference the flat update must match bit for bit."""
+    if cfg.grad_clip_norm is not None:
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if norm > cfg.grad_clip_norm:
+            grads = {name: g * (cfg.grad_clip_norm / norm) for name, g in grads.items()}
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for name, g in grads.items():
+        if cfg.weight_decay:
+            values[name] = values[name] * (1.0 - lr_t * cfg.weight_decay)
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        m_hat, v_hat = m[name] / (1.0 - b1**step), v[name] / (1.0 - b2**step)
+        values[name] = values[name] - lr_t * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+FLAT_CONFIG = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+
+
+class TestFlatParameterBuffer:
+    """Each tensor views ``ModelParams.flat`` after every operation that makes or
+    rewrites the parameters, and the flat update equals the per-tensor one."""
+
+    def test_init_params(self):
+        assert_views_flat(init_params(FLAT_CONFIG, 5))
+
+    def test_load_checkpoint(self, tmp_path):
+        params = init_params(FLAT_CONFIG, 5)
+        _, loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "c.bin", FLAT_CONFIG, params))
+        assert_views_flat(loaded)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [TrainConfig(weight_decay=0.0), TrainConfig(weight_decay=0.01, grad_clip_norm=0.05)],
+        ids=["plain", "clipped-decayed"],
+    )
+    def test_optimizer_step_matches_per_tensor_reference(self, cfg):
+        params = init_params(FLAT_CONFIG, 5)
+        values = {name: params[name].data.copy() for name in params.names()}
+        m = {name: np.zeros_like(a) for name, a in values.items()}
+        v = {name: np.zeros_like(a) for name, a in values.items()}
+        state = OptimizerState(params)
+        rng = np.random.default_rng(0)
+        for step in range(1, 5):
+            grads = {name: rng.normal(size=a.shape) for name, a in values.items()}
+            optimizer_step(params, grads, state, 1e-3, cfg)
+            per_tensor_step(values, grads, m, v, step, 1e-3, cfg)
+            assert_views_flat(params)
+            for name in params.names():
+                assert np.array_equal(params[name].data, values[name]), name
+
+    def test_optimizer_step_refuses_a_rebound_tensor(self):
+        params = init_params(FLAT_CONFIG, 5)
+        params["head.b2"].data = params["head.b2"].data + 1.0  # no longer a view into flat
+        grads = {name: np.ones_like(params[name].data) for name in params.names()}
+        state = OptimizerState(params)
+        before = params.flat.copy()
+        with pytest.raises(ShapeMismatch, match="head.b2"):
+            optimizer_step(params, grads, state, 1e-3, TrainConfig())
+        assert state.step == 0
+        np.testing.assert_array_equal(params.flat, before)
+
+    def test_fit_restores_the_best_epoch_into_flat(self, monkeypatch):
+        import hierconn.train as train_mod
+
+        ds, split, config, params, cfg = tiny_setup(epochs=3)
+        seen = []
+
+        def recording_scores(matrices, p, c):
+            seen.append(p.flat.copy())  # the weights each epoch ends with
+            return predict_scores(matrices, p, c)
+
+        keys = iter([(1.0, 1.0), (0.0, 0.0), (0.0, 0.0)])  # epoch 1 stays best
+        monkeypatch.setattr(train_mod, "predict_scores", recording_scores)
+        monkeypatch.setattr(train_mod, "_val_metric", lambda *args: next(keys))
+        report = fit(
+            ds.subset(split.train_ids), ds.subset(split.val_ids),
+            params, config, cfg, LossWeights(),
+        )
+        assert report.best_epoch == 1 and len(seen) == 3
+        assert_views_flat(params)
+        np.testing.assert_array_equal(params.flat, seen[0])
+        assert not np.array_equal(params.flat, seen[-1])
 
 
 def tiny_dataset(seed=0, subjects=24, n=12):
@@ -323,6 +421,33 @@ class TestCheckpointContainer:
         for name in params.names():
             assert np.array_equal(loaded[name].data, params[name].data)
             assert loaded[name].data.flags.writeable
+
+    def test_payload_is_every_tensor_packed_in_name_order(self, tmp_path):
+        config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+        params = init_params(config, 5)
+        blob = save_checkpoint(tmp_path / "c.bin", config, params).read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        packed = b"".join(
+            np.ascontiguousarray(params[name].data, dtype="<f8").tobytes()
+            for name in params.names()
+        )
+        assert blob[16 + header_len :] == packed
+
+    @pytest.mark.parametrize(
+        "field, value", [("shape", "ab"), ("shape", [None]), ("name", ["x"])],
+        ids=["string-shape", "null-dimension", "list-name"],
+    )
+    def test_malformed_tensor_index_entry_is_data_error(self, field, value, tmp_path):
+        config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+        path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 5))
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + header_len])
+        header["tensors"][0][field] = value
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len :])
+        with pytest.raises(DataError):
+            load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         from hierconn.errors import ParseError
