@@ -1,7 +1,7 @@
 """Small reverse-mode automatic differentiation engine on numpy.
 
 Only what the token pipeline needs: broadcast arithmetic, batched matmul,
-reductions, reshapes, exp/log/sqrt, an exact-erf GELU, log-softmax-style
+reductions, reshapes, exp/log/sqrt, an exact GELU, log-softmax-style
 composites, and a sparsemax op whose backward is the analytic simplex-
 projection Jacobian. Graphs are built eagerly; ``Tensor.backward`` runs an
 iterative topological sweep accumulating ``.grad`` arrays on the leaves.
@@ -41,6 +41,14 @@ as float64, and every op computes in the dtype of its operands. Constants
 that meet tensor data are Python floats or arrays of the data's dtype, never
 float64 numpy scalars, which would promote float32 data to float64.
 
+GELU's Gaussian CDF comes from ``_normal_cdf``: a rational approximation of
+``erfc`` (after Cody 1969) evaluated with numpy ufuncs over fixed slices, in
+the dtype of its input. Its error is within 2 units in the last place of 0.5
+in float32 and float64, the error of ``0.5 * (1 + erf(x / sqrt(2)))`` in
+float64, and it is about 3x faster than ``scipy.special.erf``'s scalar loop
+in float32, 1.4x in float64 (``_CDF_TABLES`` records the fit and the
+measurements).
+
 Determinism: every op is a plain numpy expression, so two identical runs
 produce bit-identical values and gradients.
 """
@@ -52,7 +60,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf, softmax
 
 from .sparsemax import float_array, sparsemax_rows, sparsemax_rows_backward
 
@@ -62,6 +69,89 @@ _thread_state = threading.local()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _cdf_table(clamp: float, p: tuple[float, ...], q: tuple[float, ...]):
+    """``(clamp, num, den)`` for ``_normal_cdf`` from a fit ``erfcx(s) ~ P(s)/Q(s)``
+    on ``[0, clamp]`` with ascending coefficients and ``P(0) = Q(0) = 1``: ``num``
+    holds ``-P / (2 q_top)`` and ``den`` the monic ``Q / q_top`` without its
+    leading 1, both highest power first."""
+    top = q[-1]
+    return clamp, [-0.5 * c / top for c in reversed(p)], [c / top for c in reversed(q[:-1])]
+
+
+# Fits of erfcx(s) = exp(s^2) erfc(s) by P/Q, made offline with mpmath at 40
+# digits: Sanathanan-Koerner linearised least squares with Lawson reweighting
+# over 240 Chebyshev points of [0, clamp], minimising the absolute error of
+# erfc(s) = exp(-s^2) P/Q. Past the clamp, half of erfc is below half a unit in
+# the last place of 0.5, so P/Q is read at the clamp. Fit error of erfc, and
+# the kernel's measured maximum error of Phi against mpmath over 26k points of
+# [-12, 12] and (-0.01, 0.01), in units in the last place of 0.5:
+# float32, degree 4/4 on [0, 4]: 8.8e-11, 1.85 (float32 scipy.special.erf: 0.95);
+# float64, degree 7/7 on [0, 6]: 7.3e-18, 2.0 (float64 scipy.special.erf: 2.0).
+# GELU forward through scipy.special.erf -> through this kernel, medians of 11
+# interleaved calls on a 2-vCPU Intel Xeon (numpy 2.4.6, scipy 1.17.1): float32
+# (16, 116, 1536) 73 -> 25 ms; float64 (32, 116, 1536) 201-214 -> 143-149 ms.
+_CDF_TABLES = {
+    np.dtype(np.float32): _cdf_table(
+        4.0,
+        (1.0, 0.76678250917713497, 0.30452662006955492, 0.045128157408188016,
+         4.8614672149689129e-5),
+        (1.0, 1.8951616666359264, 1.4429878845019041, 0.53045310318447461,
+         0.081273862250517774),
+    ),
+    np.dtype(np.float64): _cdf_table(
+        6.0,
+        (1.0, 1.3657530759502684, 0.95197487073228357, 0.39517937542907424,
+         0.10179474027849571, 0.015266090068210214, 0.001044013418704275,
+         -4.7524559696779185e-9),
+        (1.0, 2.4941322430457826, 2.7663017337662235, 1.7747371567320741,
+         0.71428734988901945, 0.18130905245964103, 0.027062606055937202,
+         0.0018501983658892585),
+    ),
+}
+# elements per slice: the slice and its four scratch arrays stay in cache
+_CDF_CHUNK = 32768
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF ``Phi(x) = erfc(-x / sqrt(2)) / 2`` of a float32 or
+    float64 array, in its dtype. With ``s = |x| / sqrt(2)``, ``erfc(s) =
+    exp(-s^2) P(t) / Q(t)`` at ``t = min(s, clamp)``, and ``Phi = 1/2 +
+    copysign(1/2 - erfc(s) / 2, x)``; ``exp`` reaches exactly 0 in the far tails
+    and NaN propagates. Scratch arrays are allocated per call, so concurrent
+    calls do not share them."""
+    clamp, num, den = _CDF_TABLES[x.dtype]
+    out = np.empty(x.shape, x.dtype)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    s, t, r, u = (np.empty(min(xs.size, _CDF_CHUNK), x.dtype) for _ in range(4))
+    # s * s overflows to inf for huge |x|, which exp takes to the right 0
+    with np.errstate(over="ignore"):
+        for lo in range(0, xs.size, _CDF_CHUNK):
+            xc = xs[lo : lo + _CDF_CHUNK]
+            n = xc.size
+            sc, tc, rc, uc = s[:n], t[:n], r[:n], u[:n]
+            np.abs(xc, out=sc)
+            sc *= _INV_SQRT2
+            np.minimum(sc, clamp, out=tc)
+            np.multiply(tc, num[0], out=rc)  # r = -P(t) / (2 q_top), by Horner
+            rc += num[1]
+            for c in num[2:]:
+                rc *= tc
+                rc += c
+            np.add(tc, den[0], out=uc)  # u = Q(t) / q_top
+            for c in den[1:]:
+                uc *= tc
+                uc += c
+            rc /= uc
+            np.multiply(sc, sc, out=sc)
+            np.negative(sc, out=sc)
+            np.exp(sc, out=sc)
+            rc *= sc  # -erfc(s) / 2
+            rc += 0.5
+            np.copysign(rc, xc, out=rc)
+            np.add(rc, 0.5, out=outs[lo : lo + n])
+    return out
 
 
 def _grad_enabled() -> bool:
@@ -303,14 +393,10 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def gelu(self):
-        """Exact GELU: x * Phi(x) with the Gaussian CDF via erf."""
+        """Exact GELU: ``x * Phi(x)``, with the Gaussian CDF from ``_normal_cdf``
+        (absolute error within 2 units in the last place of 0.5)."""
         x = self.data
-        # 0.5 * (1 + erf(x / sqrt(2))), built in one buffer (asarray: a 0-d
-        # product is a numpy scalar, which cannot be written in place)
-        cdf = np.asarray(x * _INV_SQRT2)
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
+        cdf = _normal_cdf(x)
 
         def backward(g):
             if self.requires_grad:
@@ -485,7 +571,11 @@ def attention(
     scores = q.data @ k.data.swapaxes(-1, -2)
     scores *= scale
     if activation == "softmax":
-        p = softmax(scores, axis=-1)
+        # scipy.special.softmax's operations in its order, in the scores' buffer
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        p = scores
     elif activation == "sparsemax":
         p = sparsemax_rows(scores)
     else:

@@ -39,6 +39,7 @@ def save_checkpoint(
     meta: dict | None = None,
 ) -> Path:
     path = Path(path)
+    params.check_views()
     header = {
         "config": config.to_dict(),
         "meta": meta or {},

@@ -9,6 +9,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -329,7 +330,15 @@ def load_dataset(manifest_path: str | Path) -> DatasetManifest:
 
 
 def save_dataset(ds: DatasetManifest, out_dir: str | Path, file_format: str = "bin") -> Path:
-    """Write matrices plus manifest.json under out_dir; returns the manifest path."""
+    """Write matrices plus manifest.json under out_dir; returns the manifest path.
+
+    Each matrix file is named after its subject id, so an id holding a path
+    separator or a NUL is refused (``InvariantViolation``) before anything is
+    written: it would place the file outside ``out_dir`` or nowhere.
+    """
+    for rec in ds.subjects:
+        if any(c in rec.id for c in {"/", os.sep, "\0"}):
+            raise InvariantViolation("id is not a plain file name", subject_id=rec.id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = ".csv" if file_format == "csv" else ".mat"

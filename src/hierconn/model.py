@@ -82,12 +82,22 @@ class ModelParams:
     def names(self) -> list[str]:
         return sorted(self.tensors)
 
+    def check_views(self) -> None:
+        """Refuse a tensor whose ``data`` was rebound (``ShapeMismatch`` naming it):
+        training, saving and casting read ``flat``, so they would miss its values."""
+        # views of views share the owner of the memory, whatever array ``flat`` is
+        owner = self.flat if self.flat.base is None else self.flat.base
+        for name, t in self.tensors.items():
+            if t.data.base is not owner:
+                raise ShapeMismatch(f"{name}: data rebound, no longer a view into params.flat")
+
     def zero_grad(self) -> None:
         for t in self.tensors.values():
             t.grad = None
 
     def astype(self, dtype) -> "ModelParams":
         """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards."""
+        self.check_views()
         shapes = {name: t.shape for name, t in self.tensors.items()}
         return ModelParams(shapes, self.flat.astype(dtype), requires_grad=False)
 

@@ -111,10 +111,9 @@ def optimizer_step(
     estimates); moments are bias-corrected. Raises NonFiniteGradient before
     touching any state so a failed batch can be skipped cleanly.
     """
+    params.check_views()
     names = params.names()
     for name in names:
-        if params[name].data.base is not params.flat:
-            raise ShapeMismatch(f"{name}: data rebound, no longer a view into params.flat")
         if name not in grads:
             raise ShapeMismatch(f"missing gradient for {name}")
         if grads[name].shape != params[name].data.shape:

@@ -283,6 +283,23 @@ class TestLoadDataset:
             assert np.array_equal(a.matrix.values, b.matrix.values)
         assert loaded.atlas_labels == ds.atlas_labels
 
+    @pytest.mark.parametrize("sid", ["../escaped", "sub/x", "nul\0id"])
+    def test_save_refuses_an_id_that_is_not_a_plain_file_name(self, tmp_path, sid):
+        controls, patients = two_class_dataset((1, 1)).subjects
+        ds = DatasetManifest((controls, SubjectRecord(sid, 1, patients.matrix)))
+        with pytest.raises(InvariantViolation, match="not a plain file name"):
+            save_dataset(ds, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sid", ["..", ".", "a b", "x.y"])
+    def test_save_keeps_dotted_ids_inside_the_directory(self, tmp_path, sid):
+        controls, patients = two_class_dataset((1, 1)).subjects
+        ds = DatasetManifest((controls, SubjectRecord(sid, 1, patients.matrix)))
+        loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
+        assert [r.id for r in loaded.subjects] == ["c0", sid]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert (tmp_path / "out" / f"{sid}.mat").is_file()
+
 
 class TestGenerateSynthetic:
     def spec(self, **kw):

@@ -8,8 +8,10 @@ Dropout is checked bit for bit against the float-multiplier mask it replaced.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import softmax
 
 from hierconn.autodiff import Tensor, attention, dropout, layer_norm, linear
 from hierconn.model import LN_EPS
@@ -123,3 +125,15 @@ def test_dropout_matches_float_mask_bit_for_bit(seed, batch, rows, d, rate):
     for got, expect in ((fused[0], composite[0]), (fused[2][0], composite[2][0])):
         np.testing.assert_array_equal(got, expect)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_softmax_is_scipy_softmax_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    q, k, v = (Tensor(rng.normal(size=(3, 2, 7, 4)).astype(dtype) * 4.0) for _ in range(3))
+    _, p = attention(q, k, v, "softmax")
+    scores = q.data @ k.data.swapaxes(-1, -2)
+    scores *= 0.5  # 1 / sqrt(4), as attention scales
+    expected = softmax(scores, axis=-1)
+    assert p.dtype == expected.dtype == dtype
+    np.testing.assert_array_equal(p.view(np.uint8), expected.view(np.uint8))

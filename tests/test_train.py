@@ -184,6 +184,26 @@ class TestFlatParameterBuffer:
         assert state.step == 0
         np.testing.assert_array_equal(params.flat, before)
 
+    def test_save_checkpoint_refuses_a_rebound_tensor(self, tmp_path):
+        params = init_params(FLAT_CONFIG, 5)
+        params["head.b2"].data = params["head.b2"].data + 1.0  # flat keeps the old values
+        with pytest.raises(ShapeMismatch, match="head.b2"):
+            save_checkpoint(tmp_path / "c.bin", FLAT_CONFIG, params)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_astype_refuses_a_rebound_tensor(self):
+        params = init_params(FLAT_CONFIG, 5)
+        params["embed.w"].data = params["embed.w"].data * 2.0
+        with pytest.raises(ShapeMismatch, match="embed.w"):
+            params.astype(np.float32)
+
+    def test_a_view_of_flat_under_another_name_still_counts(self):
+        # the same memory through another array object, as tests/test_atomic.py installs it
+        params = init_params(FLAT_CONFIG, 5)
+        params.flat = params.flat.view()
+        params.check_views()
+        assert params.astype(np.float32).flat.dtype == np.float32
+
     def test_fit_restores_the_best_epoch_into_flat(self, monkeypatch):
         import hierconn.train as train_mod
 
