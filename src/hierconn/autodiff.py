@@ -14,7 +14,7 @@ goes away. Only leaf gradients survive. A second ``backward`` through a
 used-up node raises ``RuntimeError``; nothing backpropagates twice through
 one graph, so there is no option to keep it.
 
-The model's hot paths are three fused ops, each one graph node whose
+The model's hot paths are four fused ops, each one graph node whose
 backward is written in closed form instead of being chained through
 primitives:
 
@@ -29,8 +29,17 @@ primitives:
   backward is ``P * (u - sum(u * P))`` for softmax and the support-centred
   sparsemax Jacobian (Martins & Astudillo 2016) for sparsemax, where
   ``u = (g v^T) * mask``.
+- ``ffn(x, w1, b1, w2, b2, mask)``: ``dropout(gelu(x @ w1 + b1)) @ w2 + b2``.
+  The hidden layer is one array: the first GEMM writes it, and one pass over
+  its slices turns it into ``gelu``'s output and then the dropout output in
+  place, writing the GELU slope ``Phi + h * pdf`` into a second array when a
+  graph is built. The node keeps those two; backward is ``dW2 = a^T g2``,
+  ``ga = ((g2 @ w2^T) * mask) * slope`` (written into the slope's array),
+  ``dW1 = x2^T ga`` and ``dx = ga @ w1^T``. Each step is the numpy operation
+  the ``linear -> gelu -> dropout -> linear`` chain ran, in its order, so
+  values and gradients have the chain's bits.
 
-A dropout ``mask`` (for ``attention`` and ``dropout``) is a ``(keep, scale)``
+A dropout ``mask`` (for ``attention``, ``ffn`` and ``dropout``) is a ``(keep, scale)``
 pair: a bool keep-mask and the inverted-dropout scale ``1 / (1 - p)``. It is
 applied as ``(x * scale) * keep``, which gives the same bits, signed zeros
 included, as multiplying by the float mask ``keep / (1 - p)``, at an eighth
@@ -41,13 +50,15 @@ as float64, and every op computes in the dtype of its operands. Constants
 that meet tensor data are Python floats or arrays of the data's dtype, never
 float64 numpy scalars, which would promote float32 data to float64.
 
-GELU's Gaussian CDF comes from ``_normal_cdf``: a rational approximation of
+GELU's Gaussian CDF comes from ``_cdf_slices``, the one kernel behind
+``Tensor.gelu``, ``ffn`` and ``_normal_cdf``: a rational approximation of
 ``erfc`` (after Cody 1969) evaluated with numpy ufuncs over fixed slices, in
-the dtype of its input. Its error is within 2 units in the last place of 0.5
-in float32 and float64, the error of ``0.5 * (1 + erf(x / sqrt(2)))`` in
-float64, and it is about 3x faster than ``scipy.special.erf``'s scalar loop
-in float32, 1.4x in float64 (``_CDF_TABLES`` records the fit and the
-measurements).
+the dtype of its input; the GELU consumers finish each slice while it is in
+cache, so no CDF array of the input's size exists. Its error is within 2
+units in the last place of 0.5 in float32 and float64, the error of
+``0.5 * (1 + erf(x / sqrt(2)))`` in float64, and it is about 3x faster than
+``scipy.special.erf``'s scalar loop in float32, 1.4x in float64
+(``_CDF_TABLES`` records the fit and the measurements).
 
 Determinism: every op is a plain numpy expression, so two identical runs
 produce bit-identical values and gradients.
@@ -114,44 +125,78 @@ _CDF_TABLES = {
 _CDF_CHUNK = 32768
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF ``Phi(x) = erfc(-x / sqrt(2)) / 2`` of a float32 or
-    float64 array, in its dtype. With ``s = |x| / sqrt(2)``, ``erfc(s) =
-    exp(-s^2) P(t) / Q(t)`` at ``t = min(s, clamp)``, and ``Phi = 1/2 +
-    copysign(1/2 - erfc(s) / 2, x)``; ``exp`` reaches exactly 0 in the far tails
-    and NaN propagates. Scratch arrays are allocated per call, so concurrent
-    calls do not share them."""
-    clamp, num, den = _CDF_TABLES[x.dtype]
-    out = np.empty(x.shape, x.dtype)
-    xs, outs = x.reshape(-1), out.reshape(-1)
-    s, t, r, u = (np.empty(min(xs.size, _CDF_CHUNK), x.dtype) for _ in range(4))
-    # s * s overflows to inf for huge |x|, which exp takes to the right 0
-    with np.errstate(over="ignore"):
-        for lo in range(0, xs.size, _CDF_CHUNK):
-            xc = xs[lo : lo + _CDF_CHUNK]
-            n = xc.size
-            sc, tc, rc, uc = s[:n], t[:n], r[:n], u[:n]
-            np.abs(xc, out=sc)
-            sc *= _INV_SQRT2
-            np.minimum(sc, clamp, out=tc)
-            np.multiply(tc, num[0], out=rc)  # r = -P(t) / (2 q_top), by Horner
-            rc += num[1]
-            for c in num[2:]:
-                rc *= tc
-                rc += c
-            np.add(tc, den[0], out=uc)  # u = Q(t) / q_top
-            for c in den[1:]:
-                uc *= tc
-                uc += c
-            rc /= uc
+def _cdf_slices(xs: np.ndarray):
+    """Yield ``(slice, Phi)`` for each ``_CDF_CHUNK`` slice of the flat float32 or
+    float64 array ``xs``: ``Phi`` is the standard normal CDF ``erfc(-x / sqrt(2))
+    / 2`` of ``xs[slice]``, in its dtype, in a scratch buffer the next slice
+    overwrites. With ``s = |x| / sqrt(2)``, ``erfc(s) = exp(-s^2) P(t) / Q(t)``
+    at ``t = min(s, clamp)``, and ``Phi = 1/2 + copysign(1/2 - erfc(s) / 2, x)``;
+    ``exp`` reaches exactly 0 in the far tails and NaN propagates. Scratch
+    arrays are allocated per call, so concurrent calls do not share them."""
+    clamp, num, den = _CDF_TABLES[xs.dtype]
+    s, t, r, u = (np.empty(min(xs.size, _CDF_CHUNK), xs.dtype) for _ in range(4))
+    for lo in range(0, xs.size, _CDF_CHUNK):
+        xc = xs[lo : lo + _CDF_CHUNK]
+        n = xc.size
+        sc, tc, rc, uc = s[:n], t[:n], r[:n], u[:n]
+        np.abs(xc, out=sc)
+        sc *= _INV_SQRT2
+        np.minimum(sc, clamp, out=tc)
+        np.multiply(tc, num[0], out=rc)  # r = -P(t) / (2 q_top), by Horner
+        rc += num[1]
+        for c in num[2:]:
+            rc *= tc
+            rc += c
+        np.add(tc, den[0], out=uc)  # u = Q(t) / q_top
+        for c in den[1:]:
+            uc *= tc
+            uc += c
+        rc /= uc
+        # s * s overflows to inf for huge |x|, which exp takes to the right 0; the
+        # state is set per slice, so it does not reach the caller across a yield
+        with np.errstate(over="ignore"):
             np.multiply(sc, sc, out=sc)
-            np.negative(sc, out=sc)
-            np.exp(sc, out=sc)
-            rc *= sc  # -erfc(s) / 2
-            rc += 0.5
-            np.copysign(rc, xc, out=rc)
-            np.add(rc, 0.5, out=outs[lo : lo + n])
+        np.negative(sc, out=sc)
+        np.exp(sc, out=sc)
+        rc *= sc  # -erfc(s) / 2
+        rc += 0.5
+        np.copysign(rc, xc, out=rc)
+        rc += 0.5
+        yield slice(lo, lo + n), rc
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """``Phi(x)`` of a float32 or float64 array, in its dtype (``_cdf_slices``)."""
+    out = np.empty(x.shape, x.dtype)
+    outs = out.reshape(-1)
+    for part, cdf in _cdf_slices(x.reshape(-1)):
+        outs[part] = cdf
     return out
+
+
+def _gelu_inplace(
+    h: np.ndarray, slope: np.ndarray | None = None, mask: tuple[np.ndarray, float] | None = None,
+) -> None:
+    """Overwrite the contiguous array ``h`` with ``gelu(h) = h * Phi(h)``, then with
+    its inverted dropout by a ``(keep, scale)`` ``mask`` of its shape, one
+    ``_cdf_slices`` slice at a time. ``slope``, if given, receives the GELU
+    derivative ``Phi(h) + h * pdf(h)`` at the input, pdf = exp(-h^2 / 2) / sqrt(2 pi)."""
+    hs = h.reshape(-1)
+    slopes = None if slope is None else slope.reshape(-1)
+    keeps = None if mask is None else mask[0].reshape(-1)
+    for part, cdf in _cdf_slices(hs):
+        hc = hs[part]
+        if slopes is not None:
+            t = slopes[part]
+            np.multiply(hc, -0.5, out=t)
+            t *= hc
+            np.exp(t, out=t)
+            t *= _INV_SQRT2PI
+            t *= hc
+            t += cdf
+        hc *= cdf
+        if mask is not None:
+            _apply_mask(hc, (keeps[part], mask[1]), out=hc)
 
 
 def _grad_enabled() -> bool:
@@ -167,6 +212,12 @@ def no_grad():
         yield
     finally:
         _thread_state.grad_enabled = previous
+
+
+def _builds_graph(parents) -> bool:
+    """Whether an op on ``parents`` becomes a graph node (and must keep what its
+    backward reads)."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
 
 
 def _used_up(g):
@@ -223,7 +274,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled() and any(p.requires_grad for p in parents):
+        if _builds_graph(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -393,24 +444,18 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def gelu(self):
-        """Exact GELU: ``x * Phi(x)``, with the Gaussian CDF from ``_normal_cdf``
+        """Exact GELU: ``x * Phi(x)``, with the Gaussian CDF from ``_cdf_slices``
         (absolute error within 2 units in the last place of 0.5)."""
-        x = self.data
-        cdf = _normal_cdf(x)
+        out = self.data.copy()
+        slope = np.empty_like(out) if _builds_graph((self,)) else None
+        _gelu_inplace(out, slope)
 
         def backward(g):
             if self.requires_grad:
-                # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
-                t = np.asarray(x * -0.5)
-                t *= x
-                np.exp(t, out=t)
-                t *= _INV_SQRT2PI
-                t *= x
-                t += cdf
-                t *= g
-                self._accumulate(t)
+                # a graph is swept once, so the slope's buffer takes the gradient
+                self._accumulate(np.multiply(slope, g, out=slope))
 
-        return Tensor._make(x * cdf, (self,), backward)
+        return Tensor._make(out, (self,), backward)
 
     def sparsemax(self):
         """Simplex projection over the last axis, analytic Jacobian backward."""
@@ -554,6 +599,47 @@ def dropout(x: Tensor, mask: tuple[np.ndarray, float]) -> Tensor:
             x._accumulate(_apply_mask(g, mask))
 
     return Tensor._make(_apply_mask(x.data, mask), (x,), backward)
+
+
+def ffn(
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+    mask: tuple[np.ndarray, float] | None = None,
+) -> Tensor:
+    """``dropout(gelu(x @ w1 + b1)) @ w2 + b2`` over the last axis of ``x``, the
+    ``(keep, scale)`` dropout ``mask`` shaped like the hidden layer, ``x.shape[:-1]
+    + w1.shape[-1:]``. Each step runs the numpy operations of ``linear``,
+    ``Tensor.gelu``, ``dropout`` and ``linear`` in turn, in their order, so values
+    and gradients keep the composite's bits; the hidden layer lives in one array
+    overwritten in place, and a graph keeps it and the GELU slope only."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    a = x2 @ w1.data
+    a += b1.data
+    parents = (x, w1, b1, w2, b2)
+    slope = np.empty_like(a) if _builds_graph(parents) else None
+    _gelu_inplace(a, slope, mask)
+    out = a @ w2.data
+    out += b2.data
+
+    def backward(g):
+        g2 = g.reshape(out.shape)
+        if w2.requires_grad:
+            w2._accumulate(a.T @ g2)
+        if b2.requires_grad:
+            b2._accumulate(g2.sum(axis=0))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        ga = g2 @ w2.data.T
+        if mask is not None:
+            _apply_mask(ga, (mask[0].reshape(ga.shape), mask[1]), out=ga)
+        ga = np.multiply(slope, ga, out=slope)  # as in Tensor.gelu's backward
+        if x.requires_grad:
+            x._accumulate((ga @ w1.data.T).reshape(x.shape))
+        if w1.requires_grad:
+            w1._accumulate(x2.T @ ga)
+        if b1.requires_grad:
+            b1._accumulate(ga.sum(axis=0))
+
+    return Tensor._make(out.reshape(x.shape[:-1] + w2.shape[-1:]), parents, backward)
 
 
 def attention(

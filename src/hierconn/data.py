@@ -83,6 +83,25 @@ class ConnectivityMatrix:
         return self.values.shape[0]
 
 
+# the manifest's value rules by field, (predicate, what it demands): the loader and
+# the records and datasets built in code apply them, so all can be saved and reloaded
+_RULES = {
+    "id": (lambda v: isinstance(v, str), "a string"),
+    "label": (lambda v: type(v) is int and v in (0, 1), "the integer 0 or 1"),
+    "path": (lambda v: isinstance(v, str), "a string"),
+    "atlas_labels": (lambda v: all(isinstance(a, str) for a in v), "strings"),
+}
+
+
+def _broken_rule(fields: dict, names) -> str | None:
+    """``"<name> must be <rule>, got <value>"`` for the first of ``names`` that breaks its rule."""
+    for name in names:
+        ok, expected = _RULES[name]
+        if not ok(fields[name]):
+            return f"{name} must be {expected}, got {fields[name]!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class SubjectRecord:
     id: str
@@ -90,13 +109,8 @@ class SubjectRecord:
     matrix: ConnectivityMatrix
 
     def __post_init__(self):
-        # the manifest loader's rules, so every record can be saved and reloaded
-        if not isinstance(self.id, str):
-            raise InvariantViolation(f"id must be a string, got {self.id!r}", subject_id=self.id)
-        if type(self.label) is not int or self.label not in (0, 1):
-            raise InvariantViolation(
-                f"label must be the integer 0 or 1, got {self.label!r}", subject_id=self.id
-            )
+        if problem := _broken_rule(vars(self), ("id", "label")):
+            raise InvariantViolation(problem, subject_id=self.id)
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,7 @@ class DatasetManifest:
         object.__setattr__(self, "subjects", tuple(self.subjects))
         if self.atlas_labels is not None:
             object.__setattr__(self, "atlas_labels", tuple(self.atlas_labels))
-            if not all(isinstance(a, str) for a in self.atlas_labels):  # the loader's rule
+            if not _RULES["atlas_labels"][0](self.atlas_labels):
                 raise InvariantViolation(f"atlas labels must be strings, got {self.atlas_labels!r}")
         if not self.subjects:
             raise InvariantViolation("dataset has no subjects")
@@ -120,16 +134,12 @@ class DatasetManifest:
             seen.add(rec.id)
             if rec.matrix.n != n:
                 raise InvariantViolation(
-                    f"node count {rec.matrix.n} != dataset node count {n}",
-                    subject_id=rec.id,
+                    f"node count {rec.matrix.n} != dataset node count {n}", subject_id=rec.id
                 )
-        labels = {rec.label for rec in self.subjects}
-        if labels != {0, 1}:
+        if {rec.label for rec in self.subjects} != {0, 1}:
             raise InvariantViolation("dataset needs at least one subject per class")
         if self.atlas_labels is not None and len(self.atlas_labels) != n:
-            raise InvariantViolation(
-                f"{len(self.atlas_labels)} atlas labels for {n} nodes"
-            )
+            raise InvariantViolation(f"{len(self.atlas_labels)} atlas labels for {n} nodes")
 
     @property
     def n(self) -> int:
@@ -303,30 +313,19 @@ def load_dataset(manifest_path: str | Path) -> DatasetManifest:
     if type(n) is not int or n < 1:
         raise ParseError(f"{manifest_path}: missing or invalid node count 'n'")
     atlas = doc.get("atlas_labels")
-    if atlas is not None and not (isinstance(atlas, list) and all(isinstance(a, str) for a in atlas)):
+    if atlas is not None and not (isinstance(atlas, list) and _RULES["atlas_labels"][0](atlas)):
         raise ParseError(f"{manifest_path}: 'atlas_labels' must be null or a list of strings")
     base = manifest_path.parent
     records = []
     for entry in doc["subjects"]:
         if not isinstance(entry, dict) or not {"id", "label", "path"} <= entry.keys():
             raise ParseError(f"{manifest_path}: malformed subject entry {entry!r}")
-        sid, label, rel = entry["id"], entry["label"], entry["path"]
-        for name, ok, expected in (
-            ("id", isinstance(sid, str), "a string"),
-            ("label", type(label) is int and label in (0, 1), "the integer 0 or 1"),
-            ("path", isinstance(rel, str), "a string"),
-        ):
-            if not ok:
-                raise ParseError(
-                    f"{manifest_path}: subject {sid!r}: {name} must be {expected}, "
-                    f"got {entry[name]!r}"
-                )
-        values = load_matrix(base / rel)
-        records.append(SubjectRecord(sid, label, _validated_matrix(values, n, sid)))
-    return DatasetManifest(
-        subjects=tuple(records),
-        atlas_labels=tuple(atlas) if atlas is not None else None,
-    )
+        sid = entry["id"]
+        if problem := _broken_rule(entry, ("id", "label", "path")):
+            raise ParseError(f"{manifest_path}: subject {sid!r}: {problem}")
+        values = load_matrix(base / entry["path"])
+        records.append(SubjectRecord(sid, entry["label"], _validated_matrix(values, n, sid)))
+    return DatasetManifest(tuple(records), atlas)
 
 
 def save_dataset(ds: DatasetManifest, out_dir: str | Path, file_format: str = "bin") -> Path:

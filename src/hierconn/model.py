@@ -20,7 +20,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, attention, concat, dropout, layer_norm, linear
+from .autodiff import (
+    _CDF_CHUNK, Tensor, as_tensor, attention, concat, dropout, ffn, layer_norm, linear,
+)
 from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 
 LN_EPS = 1e-5
@@ -190,10 +192,19 @@ def _check_finite(name: str, t: Tensor) -> Tensor:
 
 
 def _dropout_mask(shape, p: float, rng) -> tuple[np.ndarray, float]:
-    """A ``(keep, scale)`` inverted-dropout mask: bool keep draws and ``1 / (1 - p)``."""
+    """A ``(keep, scale)`` inverted-dropout mask: bool keep draws and ``1 / (1 - p)``.
+    The uniforms are drawn ``_CDF_CHUNK`` at a time into one buffer, the stream
+    and values of ``rng.random(shape) >= p`` without its float64 array."""
     if rng is None:
         raise ValueError("train-mode dropout needs an rng for determinism")
-    return rng.random(shape) >= p, 1.0 / (1.0 - p)
+    keep = np.empty(shape, np.bool_)
+    keeps = keep.reshape(-1)
+    draws = np.empty(min(keeps.size, _CDF_CHUNK))
+    for lo in range(0, keeps.size, _CDF_CHUNK):
+        part = draws[: keeps.size - lo]
+        rng.random(out=part)
+        np.greater_equal(part, p, out=keeps[lo : lo + part.size])
+    return keep, 1.0 / (1.0 - p)
 
 
 def _dropout(x: Tensor, p: float, train: bool, rng) -> Tensor:
@@ -247,9 +258,11 @@ def _attention(
 
 
 def _ffn(x: Tensor, params: ModelParams, config: ModelConfig, prefix: str, *, train: bool, rng) -> Tensor:
-    hidden = linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]).gelu()
-    hidden = _dropout(hidden, config.dropout, train, rng)
-    out = linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    w1, b1, w2, b2 = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    mask = None
+    if train and config.dropout > 0.0:
+        mask = _dropout_mask(x.shape[:-1] + w1.shape[-1:], config.dropout, rng)
+    out = ffn(x, w1, b1, w2, b2, mask)
     normed = layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS)
     return _check_finite(prefix, normed)
 

@@ -12,6 +12,7 @@ from hierconn.autodiff import (
     attention,
     concat,
     dropout,
+    ffn,
     layer_norm,
     linear,
     log_softmax,
@@ -151,6 +152,16 @@ class TestFusedOps:
     def test_linear(self):
         check_op(lambda x, w, b: (linear(x, w, b) * linear(x, w, b)).sum(), [(2, 3, 4), (4, 5), (5,)])
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_ffn(self, masked):
+        mask = (np.random.default_rng(9).random((2, 3, 6)) >= 0.3, 1.0 / 0.7) if masked else None
+
+        def build(x, w1, b1, w2, b2):
+            out = ffn(x, w1, b1, w2, b2, mask)
+            return (out * out).sum()
+
+        check_op(build, [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)], seed=10)
+
     def test_layer_norm(self):
         weights = np.random.default_rng(6).normal(size=(3, 5))
         check_op(
@@ -189,6 +200,9 @@ class TestFusedOps:
             attention(t, t, t, "softmax", np.full((2, 3, 3), 1.25))
         with pytest.raises(TypeError, match="keep-mask must be bool"):
             dropout(t, (np.ones((2, 3, 3)), 1.25))
+        w1, w2 = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 3)))
+        with pytest.raises(TypeError, match="keep-mask must be bool"):
+            ffn(t, w1, Tensor(np.ones(4)), w2, Tensor(np.ones(3)), (np.ones((2, 3, 4)), 1.25))
 
     def test_attention_rejects_unknown_activation(self):
         t = Tensor(np.ones((2, 3)))

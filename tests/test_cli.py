@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+import hierconn.cli
 from hierconn.checkpoint import save_checkpoint
 from hierconn.cli import main
 from hierconn.config import CONFIG_KEYS, parse_config
@@ -197,6 +198,26 @@ class TestTrainCommand:
             outs.append(out)
         assert (outs[0] / "checkpoint.bin").read_bytes() == (outs[1] / "checkpoint.bin").read_bytes()
         assert (outs[0] / "training_log.csv").read_bytes() == (outs[1] / "training_log.csv").read_bytes()
+
+    def test_float32_overflow_in_validation_is_numerical_failure(
+        self, synth_spec_file, tmp_path, monkeypatch, capsys
+    ):
+        # a head bias float64 training carries but the float32 eval copy cannot:
+        # the per-epoch validation forward overflows, outside the batch-skip policy,
+        # so the run ends with exit 3 and writes nothing past its effective config
+        def init_with_huge_head_bias(config, seed):
+            params = init_params(config, seed)
+            params["head.b2"].data[...] = 1e39
+            return params
+
+        monkeypatch.setattr(hierconn.cli, "init_params", init_with_huge_head_bias)
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+            code = main(["train", "--synth", str(synth_spec_file), "--out", str(out),
+                         *fast_flags(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite values after head\n"
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.json"]
 
     def test_requires_data_or_synth(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "x")]) == 1

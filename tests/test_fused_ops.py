@@ -4,8 +4,12 @@ The composites below are the graph-node chains the model used before the
 fused ops existed; they are kept here only as oracles. Values and gradients
 must agree to 1e-12 for random shapes, both attention activations, with and
 without a dropout mask, and with a query broadcast over the batch axis.
-Dropout is checked bit for bit against the float-multiplier mask it replaced.
+Dropout is checked bit for bit against the float-multiplier mask it replaced,
+and the feed-forward op bit for bit against its chain, alone and inside a
+training step of the whole model.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
-from hierconn.autodiff import Tensor, attention, dropout, layer_norm, linear
-from hierconn.model import LN_EPS
+import hierconn.model
+from hierconn.autodiff import Tensor, attention, dropout, ffn, layer_norm, linear, no_grad
+from hierconn.losses import LossWeights, total_loss_graph
+from hierconn.model import LN_EPS, ModelConfig, forward_batch, init_params
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 seeds = st.integers(0, 2**32 - 1)
@@ -43,6 +49,13 @@ def composite_attention(q, k, v, activation, mask=None):
     p = scores.sparsemax() if activation == "sparsemax" else composite_softmax(scores)
     weights = p if mask is None else p * Tensor(mask)
     return weights @ v, p.data
+
+
+def composite_ffn(x, w1, b1, w2, b2, mask=None):
+    hidden = linear(x, w1, b1).gelu()
+    if mask is not None:
+        hidden = dropout(hidden, mask)
+    return linear(hidden, w2, b2)
 
 
 def run(op, arrays, upstream_seed):
@@ -137,3 +150,96 @@ def test_attention_softmax_is_scipy_softmax_bit_for_bit(dtype):
     expected = softmax(scores, axis=-1)
     assert p.dtype == expected.dtype == dtype
     np.testing.assert_array_equal(p.view(np.uint8), expected.view(np.uint8))
+
+
+def assert_same_bits(got, expect):
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    got, expect = np.atleast_1d(got), np.atleast_1d(expect)
+    np.testing.assert_array_equal(got.view(np.uint8), expect.view(np.uint8))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("tokens", [116, 8, 1])  # node, subgraph and graph tokens
+def test_ffn_is_its_chain_bit_for_bit(tokens, rate):
+    # 3 x 116 x 128 hidden values span two GELU slices, the boundary mid-row
+    batch, d, hidden = 3, 8, 128
+    rng = np.random.default_rng(tokens)
+    arrays = [rng.normal(size=(batch, tokens, d)), rng.normal(size=(d, hidden)),
+              rng.normal(size=hidden) * 0.5, rng.normal(size=(hidden, d)), rng.normal(size=d)]
+    mask = None
+    if rate:
+        mask = rng.random((batch, tokens, hidden)) >= rate, 1.0 / (1.0 - rate)
+    fused = run(lambda *t: ffn(*t, mask), arrays, tokens)
+    chain = run(lambda *t: composite_ffn(*t, mask), arrays, tokens)
+    assert_same_bits(fused[0], chain[0])
+    for got, expect in zip(fused[2], chain[2]):
+        assert_same_bits(got, expect)
+
+
+def test_ffn_without_a_graph_keeps_no_slope():
+    # one (rows, hidden) array is 2 MiB; GELU's slice scratch is 1 MiB
+    rows, d, hidden = 128, 8, 2048
+    rng = np.random.default_rng(2)
+    tensors = [Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((rows, d), (d, hidden), (hidden,), (hidden, d), (d,))]
+    hidden_bytes = rows * hidden * 8
+
+    def traced(build_graph):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if build_graph:
+                out = ffn(*tensors)
+            else:
+                with no_grad():
+                    out = ffn(*tensors)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return out, held, peak
+
+    out, held, peak = traced(build_graph=False)
+    assert not out.requires_grad
+    assert peak < 2 * hidden_bytes and held < hidden_bytes // 8, (peak, held)
+    out, held, _ = traced(build_graph=True)
+    assert out.requires_grad
+    assert 2 * hidden_bytes <= held < 3 * hidden_bytes, held  # the hidden layer and the slope
+
+
+def graph_nodes(*roots):
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def training_step(config, monkeypatch, chain):
+    """Graph nodes, loss and parameter gradients of one seeded training step,
+    with every feed-forward sublayer the fused op or its chain."""
+    with monkeypatch.context() as m:
+        if chain:
+            m.setattr(hierconn.model, "ffn", composite_ffn)
+        params = init_params(config, 3)
+        rng = np.random.default_rng(0)
+        matrices = rng.uniform(-1.0, 1.0, size=(6, config.n, config.n))
+        labels = np.eye(2)[[0, 1, 0, 1, 1, 0]]
+        out = forward_batch(matrices, params, config, mode="train", rng=np.random.default_rng(1))
+        total, _ = total_loss_graph(out, labels, 0, 10, LossWeights())
+        nodes = graph_nodes(total)
+        total.backward()
+    return nodes, total.data, {name: params[name].grad for name in params.names()}
+
+
+@pytest.mark.parametrize("rate, fewer_per_sublayer", [(0.1, 3), (0.0, 2)])
+def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_sublayer, monkeypatch):
+    config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3, dropout=rate)
+    nodes, total, grads = training_step(config, monkeypatch, chain=False)
+    chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chain=True)
+    sublayers = 2 * config.layers + 1  # node and pool FFN per layer, graph FFN
+    assert chain_nodes - nodes == fewer_per_sublayer * sublayers
+    assert_same_bits(total, chain_total)
+    for name, grad in grads.items():
+        assert_same_bits(grad, chain_grads[name])

@@ -4,11 +4,12 @@ plus whole-forward contracts."""
 import numpy as np
 import pytest
 
-from hierconn.autodiff import Tensor, no_grad
+from hierconn.autodiff import _CDF_CHUNK, Tensor, no_grad
 from hierconn.errors import NonFiniteActivation, ShapeMismatch
 from hierconn.model import (
     LN_EPS,
     ModelConfig,
+    _dropout_mask,
     embed_nodes,
     forward_batch,
     init_params,
@@ -28,6 +29,27 @@ def tiny_params(seed=0):
 def dropout_masks(seed, shape, rate):
     """The attention dropout multipliers a train-mode stage draws from ``seed``."""
     return (np.random.default_rng(seed).random(shape) >= rate) / (1.0 - rate)
+
+
+C = _CDF_CHUNK
+
+
+@pytest.mark.parametrize("p", [0.1, 0.999])
+@pytest.mark.parametrize("size", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+def test_dropout_mask_is_the_one_call_draw(size, p):
+    # drawn a slice at a time, the mask has the values of one rng.random call
+    # and leaves the generator where that call would
+    rng, one_call = np.random.default_rng(size), np.random.default_rng(size)
+    keep, scale = _dropout_mask((size,), p, rng)
+    assert keep.dtype == np.bool_ and scale == 1.0 / (1.0 - p)
+    np.testing.assert_array_equal(keep, one_call.random(size) >= p)
+    assert rng.random() == one_call.random()
+
+
+def test_dropout_mask_keeps_its_shape():
+    shape = (2, 3, C // 4 + 1)
+    keep, _ = _dropout_mask(shape, 0.3, np.random.default_rng(1))
+    np.testing.assert_array_equal(keep, np.random.default_rng(1).random(shape) >= 0.3)
 
 
 def layer_norm_oracle(x, gain, bias):

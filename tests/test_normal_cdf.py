@@ -82,6 +82,17 @@ def test_every_element_matches_across_small_slices(monkeypatch, size):
     np.testing.assert_array_equal(_normal_cdf(x), elementwise(x))
 
 
+def test_slices_leave_the_callers_error_state_alone():
+    # the kernel silences overflow only around its own s * s; code that runs
+    # between slices (the GELU pass) keeps the caller's error state
+    x = np.full(3 * C, 1e200)
+    before = np.geterr()
+    with np.errstate(over="raise"):
+        for _ in hierconn.autodiff._cdf_slices(x):
+            assert np.geterr()["over"] == "raise"
+    assert np.geterr() == before
+
+
 def test_shape_and_dtype_are_kept():
     x = np.random.default_rng(0).normal(size=(3, 4, 5))
     for dtype in (np.float32, np.float64):
@@ -120,3 +131,23 @@ def test_concurrent_calls_equal_sequential_ones():
         assert len(cdfs) == 10
         for cdf in cdfs:
             np.testing.assert_array_equal(cdf, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_is_x_times_phi_with_the_closed_form_slope(dtype):
+    # across a slice boundary: forward x * Phi(x), backward g * (Phi + x * pdf)
+    # in the operation order GELU's backward has always used
+    x = (np.random.default_rng(4).normal(size=C + 3) * 3.0).astype(dtype)
+    g = np.random.default_rng(5).normal(size=C + 3).astype(dtype)
+    t = Tensor(x, requires_grad=True)
+    out = t.gelu()
+    (out * Tensor(g)).sum().backward()
+    cdf = _normal_cdf(x)
+    slope = x * -0.5
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= hierconn.autodiff._INV_SQRT2PI
+    slope *= x
+    slope += cdf
+    np.testing.assert_array_equal(out.data.view(np.uint8), (x * cdf).view(np.uint8))
+    np.testing.assert_array_equal(t.grad.view(np.uint8), (slope * g).view(np.uint8))
