@@ -37,7 +37,9 @@ primitives:
   ``ga = ((g2 @ w2^T) * mask) * slope`` (written into the slope's array),
   ``dW1 = x2^T ga`` and ``dx = ga @ w1^T``. Each step is the numpy operation
   the ``linear -> gelu -> dropout -> linear`` chain ran, in its order, so
-  values and gradients have the chain's bits.
+  values and gradients have the chain's bits. The model calls neither
+  ``Tensor.gelu`` nor ``dropout``: they stay as that chain's steps, the tests'
+  oracle for ``ffn``, and as op names the benchmark tracer wraps.
 
 A dropout ``mask`` (for ``attention``, ``ffn`` and ``dropout``) is a ``(keep, scale)``
 pair: a bool keep-mask and the inverted-dropout scale ``1 / (1 - p)``. It is

@@ -47,7 +47,9 @@ class RunConfig:
         default=None, metadata={"help": f"run directory (default: under ${OUT_ROOT_ENV})"}
     )
     seed: int = field(default=0, metadata={"help": "master seed", "check": ">= 0"})
-    threads: int = field(default=1, metadata={"help": "worker cap; 1 guarantees determinism"})
+    threads: int = field(
+        default=1, metadata={"help": "worker cap; 1 guarantees determinism", "check": "> 0"}
+    )
     folds: int = field(default=5, metadata={"help": "cross-validation folds", "check": ">= 2"})
     val_fraction: float = field(
         default=0.25, metadata={"help": "held-out validation share", "check": "in (0, 1)"}

@@ -2,9 +2,10 @@
 
 Aggregates the final block's node-to-subgraph attention over a cohort into
 soft/hard node assignments, maps them onto reference atlas labels, and ranks
-subgraph tokens by their share of the graph token's attention. One eval pass
-over the cohort (``cohort_traces``, ``EVAL_CHUNK`` subjects per forward in
-``EVAL_DTYPE``, read out as float64) feeds every one of these readings.
+subgraph tokens by their share of the graph token's attention. One pass over
+the cohort (``cohort_traces``, read out as float64) feeds every one of these
+readings; it runs on ``eval_pass``, the eval forward that scoring
+(``train.predict_scores``) shares.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import no_grad
-from .data import DatasetManifest, SubjectRecord, stack_records
+from .data import DatasetManifest, SubjectRecord
 from .errors import EmptyDataset, MissingAtlasLabels, ShapeMismatch
 from .model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
 
@@ -71,26 +72,33 @@ class CohortTraces:
     subgraph_tokens: np.ndarray  # (B, K, d) final subgraph tokens
 
 
+def eval_pass(matrices, params: ModelParams, config: ModelConfig, read) -> list:
+    """``read(out)`` of each graph-free forward over ``matrices`` (an array or a list of
+    (n, n) arrays), ``EVAL_CHUNK`` subjects at a time in ``EVAL_DTYPE``. Each chunk's
+    output is dropped once ``read`` returns, so only what it keeps outlives the chunk."""
+    eval_params = params.astype(EVAL_DTYPE)
+    with no_grad():
+        return [
+            read(forward_batch(matrices[start : start + EVAL_CHUNK], eval_params, config))
+            for start in range(0, len(matrices), EVAL_CHUNK)
+        ]
+
+
 def cohort_traces(
     params: ModelParams, config: ModelConfig, records: list[SubjectRecord]
 ) -> CohortTraces:
-    """Run the cohort through the model once, ``EVAL_CHUNK`` subjects at a time
-    in ``EVAL_DTYPE``; every reading below uses this, in float64."""
+    """Run the cohort through the model once (``eval_pass``); every reading below
+    uses this, in float64."""
     if not records:
         raise EmptyDataset("no subjects to interpret")
     n = records[0].matrix.n
     if n != config.n:
         raise ShapeMismatch(f"cohort node count {n} != checkpoint node count {config.n}")
-    eval_params = params.astype(EVAL_DTYPE)
-    pool, graph, tokens = [], [], []
-    with no_grad():
-        for start in range(0, len(records), EVAL_CHUNK):
-            matrices, _ = stack_records(records[start : start + EVAL_CHUNK])
-            out = forward_batch(matrices, eval_params, config, mode="eval")
-            pool.append(out.trace.node_to_subgraph[-1])
-            graph.append(out.trace.subgraph_to_graph)
-            tokens.append(out.subgraph_tokens.data)
-            del out  # only the three readings outlive the chunk's forward
+    pool, graph, tokens = zip(*eval_pass(
+        [rec.matrix.values for rec in records], params, config,
+        lambda out: (out.trace.node_to_subgraph[-1], out.trace.subgraph_to_graph,
+                     out.subgraph_tokens.data),
+    ))
     # float64 out: export_report writes values that are Python floats (as
     # float64 values are) with .17g, and would write float32 values with str
     return CohortTraces(

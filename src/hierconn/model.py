@@ -20,9 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    _CDF_CHUNK, Tensor, as_tensor, attention, concat, dropout, ffn, layer_norm, linear,
-)
+from .autodiff import _CDF_CHUNK, Tensor, as_tensor, attention, concat, ffn, layer_norm, linear
 from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 
 LN_EPS = 1e-5
@@ -191,10 +189,13 @@ def _check_finite(name: str, t: Tensor) -> Tensor:
     return t
 
 
-def _dropout_mask(shape, p: float, rng) -> tuple[np.ndarray, float]:
-    """A ``(keep, scale)`` inverted-dropout mask: bool keep draws and ``1 / (1 - p)``.
-    The uniforms are drawn ``_CDF_CHUNK`` at a time into one buffer, the stream
-    and values of ``rng.random(shape) >= p`` without its float64 array."""
+def _dropout_mask(shape, p: float, train: bool, rng) -> tuple[np.ndarray, float] | None:
+    """A ``(keep, scale)`` inverted-dropout mask of ``shape`` when training with
+    ``p > 0``, else None: bool keep draws and ``1 / (1 - p)``. The uniforms are
+    drawn ``_CDF_CHUNK`` at a time into one buffer, the stream and values of
+    ``rng.random(shape) >= p`` without its float64 array."""
+    if not train or p <= 0.0:
+        return None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng for determinism")
     keep = np.empty(shape, np.bool_)
@@ -205,12 +206,6 @@ def _dropout_mask(shape, p: float, rng) -> tuple[np.ndarray, float]:
         rng.random(out=part)
         np.greater_equal(part, p, out=keeps[lo : lo + part.size])
     return keep, 1.0 / (1.0 - p)
-
-
-def _dropout(x: Tensor, p: float, train: bool, rng) -> Tensor:
-    if not train or p <= 0.0:
-        return x
-    return dropout(x, _dropout_mask(x.shape, p, rng))
 
 
 def _split_heads(x: Tensor, heads: int, d_h: int) -> Tensor:
@@ -246,11 +241,9 @@ def _attention(
         return _split_heads(linear(x, w, b), config.heads, config.d_h)
 
     q, key, value = project(query_src, "q"), project(kv_src, "k"), project(kv_src, "v")
-    mask = None
-    if train and config.dropout > 0.0:
-        # probabilities broadcast over the batch axes of q and key
-        shape = np.broadcast_shapes(q.shape[:-2], key.shape[:-2]) + (q.shape[-2], key.shape[-2])
-        mask = _dropout_mask(shape, config.dropout, rng)
+    # probabilities broadcast over the batch axes of q and key
+    shape = np.broadcast_shapes(q.shape[:-2], key.shape[:-2]) + (q.shape[-2], key.shape[-2])
+    mask = _dropout_mask(shape, config.dropout, train, rng)
     pooled, per_head = attention(q, key, value, activation, mask)
     out = linear(_merge_heads(pooled), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     normed = layer_norm(residual_src + out, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"], LN_EPS)
@@ -259,9 +252,7 @@ def _attention(
 
 def _ffn(x: Tensor, params: ModelParams, config: ModelConfig, prefix: str, *, train: bool, rng) -> Tensor:
     w1, b1, w2, b2 = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
-    mask = None
-    if train and config.dropout > 0.0:
-        mask = _dropout_mask(x.shape[:-1] + w1.shape[-1:], config.dropout, rng)
+    mask = _dropout_mask(x.shape[:-1] + w1.shape[-1:], config.dropout, train, rng)
     out = ffn(x, w1, b1, w2, b2, mask)
     normed = layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS)
     return _check_finite(prefix, normed)
@@ -353,10 +344,10 @@ def forward_batch(
     pooled_sg = x_sg.mean(axis=1)
     pooled_n = x_n.mean(axis=1)
     head_in = concat([graph_feat, pooled_sg, pooled_n], axis=-1)
-    hidden = (head_in @ params["head.w1"] + params["head.b1"]).gelu()
-    hidden = _dropout(hidden, config.dropout, train, rng)
-    z_g = _check_finite("head", hidden @ params["head.w2"] + params["head.b2"])
-    z_n = _check_finite("aux", pooled_n @ params["aux.w"] + params["aux.b"])
+    w1, b1, w2, b2 = (params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    mask = _dropout_mask((batch, w1.shape[-1]), config.dropout, train, rng)
+    z_g = _check_finite("head", ffn(head_in, w1, b1, w2, b2, mask))
+    z_n = _check_finite("aux", linear(pooled_n, params["aux.w"], params["aux.b"]))
     return ForwardOutput(
         z_g=z_g, z_n=z_n,
         node_tokens=x_n, subgraph_tokens=x_sg, graph_token=x_g,

@@ -12,13 +12,13 @@ import numpy as np
 from scipy.special import softmax
 
 from .atomic import atomic_open
-from .autodiff import no_grad
 from .checkpoint import save_checkpoint
 from .data import SubjectRecord, mixup, stack_records
 from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch, check_fields
+from .interpret import eval_pass
 from .losses import LossWeights, total_loss_graph
 from .metrics import compute_metrics
-from .model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
+from .model import ModelConfig, ModelParams, forward_batch
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,11 @@ def collect_gradients(params: ModelParams) -> dict[str, np.ndarray]:
 def predict_scores(
     matrices: np.ndarray, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
-    """Positive-class probability from the graph head, eval mode, ``EVAL_CHUNK``
-    subjects per forward in ``EVAL_DTYPE``; the softmax runs in float64."""
-    eval_params = params.astype(EVAL_DTYPE)
-    logits = [np.empty((0, config.class_count), EVAL_DTYPE)]  # zero subjects give zero scores
-    with no_grad():
-        for start in range(0, len(matrices), EVAL_CHUNK):
-            chunk = matrices[start : start + EVAL_CHUNK]
-            logits.append(forward_batch(chunk, eval_params, config, mode="eval").z_g.data)
-    return softmax(np.concatenate(logits, dtype=np.float64), axis=-1)[:, 1]
+    """Positive-class probability from the graph head, over one eval pass
+    (``interpret.eval_pass``); the softmax runs in float64."""
+    logits = eval_pass(matrices, params, config, lambda out: out.z_g.data)
+    empty = np.empty((0, config.class_count))  # zero subjects give zero scores
+    return softmax(np.concatenate([empty, *logits], dtype=np.float64), axis=-1)[:, 1]
 
 
 def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

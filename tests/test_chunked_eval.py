@@ -13,7 +13,6 @@ import pytest
 from scipy.special import softmax
 
 import hierconn.interpret
-import hierconn.train
 from hierconn.autodiff import no_grad
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
@@ -66,14 +65,14 @@ def test_cohort_traces_equal_whole_batch_forward(setup, size):
     assert np.array_equal(traces.subgraph_tokens, out.subgraph_tokens.data)
 
 
-@pytest.mark.parametrize("module, call", [
-    (hierconn.train, lambda params, config, records:
-        predict_scores(stack_records(records)[0], params, config)),
-    (hierconn.interpret, cohort_traces),
-])
-def test_forward_runs_once_per_chunk(setup, monkeypatch, module, call):
-    """Both functions call ``forward_batch`` through their own module's name,
-    at most ``EVAL_CHUNK`` subjects at a time."""
+@pytest.mark.parametrize("call", [
+    lambda params, config, records: predict_scores(stack_records(records)[0], params, config),
+    cohort_traces,
+], ids=["predict_scores", "cohort_traces"])
+def test_forward_runs_once_per_chunk(setup, monkeypatch, call):
+    """Both functions run their forwards through ``interpret.eval_pass``, which
+    calls ``forward_batch`` by the ``hierconn.interpret`` name, at most
+    ``EVAL_CHUNK`` subjects at a time."""
     config, params, records = setup
     batch_sizes = []
 
@@ -81,7 +80,7 @@ def test_forward_runs_once_per_chunk(setup, monkeypatch, module, call):
         batch_sizes.append(len(matrices))
         return forward_batch(matrices, *args, **kwargs)
 
-    monkeypatch.setattr(module, "forward_batch", counting)
+    monkeypatch.setattr(hierconn.interpret, "forward_batch", counting)
     call(params, config, records[:17])
     assert batch_sizes == [EVAL_CHUNK, 1]
     batch_sizes.clear()

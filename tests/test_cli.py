@@ -256,6 +256,22 @@ class TestEvaluateCommand:
                     "fold_0/checkpoint.bin", "fold_3/training_log.csv"]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
+    def test_thread_count_does_not_change_artifacts(self, synth_spec_file, tmp_path):
+        # folds run on worker threads draw from their own seeded generators, so
+        # three workers write what one writes, byte for byte
+        outs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads_{threads}"
+            assert main([
+                "evaluate", "--synth", str(synth_spec_file), "--out", str(out),
+                *fast_flags(tmp_path), "--dropout", "0.1", "--folds", "3", "--threads", threads,
+            ]) == 0
+            outs.append(out)
+        fold_files = [f"fold_{i}/{name}" for i in range(3)
+                      for name in ("checkpoint.bin", "training_log.csv")]
+        for rel in ["cv_report.json", "predictions.csv", "metrics_table.txt", *fold_files]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
     def test_cv_artifacts(self, synth_spec_file, tmp_path):
         out = tmp_path / "cv"
         code = main(
@@ -440,7 +456,8 @@ class TestExitCodes:
         assert not out.exists()
 
     # every range-checked key of the train, model and loss sections, the seed,
-    # and non-finite values of the float keys without a range, by field name
+    # the thread count, and non-finite values of the float keys without a
+    # range, by field name
     @pytest.mark.parametrize("key, value", [
         ("mixup_alpha", "0"), ("mixup_alpha", "-1"), ("mixup_alpha", "nan"),
         ("adam_beta1", "1"), ("adam_beta2", "1"), ("adam_beta2", "-0.1"),
@@ -452,7 +469,7 @@ class TestExitCodes:
         ("alpha", "nan"), ("alpha", "inf"), ("beta_max", "inf"), ("beta_max", "nan"),
         ("beta_slope", "nan"), ("beta_slope", "inf"),
         ("beta_center_fraction", "nan"), ("beta_center_fraction", "inf"),
-        ("lr", "inf"), ("lr", "nan"), ("seed", "-1"),
+        ("lr", "inf"), ("lr", "nan"), ("seed", "-1"), ("threads", "0"), ("threads", "-4"),
     ])
     def test_out_of_range_optimizer_or_mixup_setting_is_data_error(
         self, key, value, synth_spec_file, tmp_path, capsys
@@ -468,7 +485,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
-        {"folds": 1}, {"val_fraction": 0},
+        {"folds": 1}, {"val_fraction": 0}, {"threads": 0},
         {"train": {"mixup_alpha": 0}}, {"train": {"mixup_alpha": -1}},
         {"train": {"adam_beta1": 1}}, {"train": {"adam_beta1": -0.1}},
         {"train": {"adam_beta2": 1}}, {"train": {"adam_beta2": -0.1}},

@@ -115,7 +115,7 @@ DEFAULT_DOCUMENT = {
 
 # each key's "check" rule text or "choices", from its field metadata
 VALUE_RULES = {
-    "seed": ">= 0", "folds": ">= 2", "val_fraction": "in (0, 1)",
+    "seed": ">= 0", "threads": "> 0", "folds": ">= 2", "val_fraction": "in (0, 1)",
     "model.n": "> 0", "model.d": "> 0", "model.heads": "> 0", "model.layers": "> 0",
     "model.k": ">= 2", "model.dropout": "in [0, 1)", "model.class_count": ">= 2",
     "model.ffn_mult": "> 0",

@@ -1,8 +1,12 @@
-"""Every module-level name and method in the package is used somewhere.
+"""Every module-level name and method in the package is used somewhere, and
+every name a module imports is used in that module.
 
 A def, class or assignment at the top level of a ``src/hierconn`` module, or
 a def in a top-level class body, whose name appears nowhere else as a word in
-``src/``, ``tests/`` or ``perfbench/`` is dead code. The check only reads
+``src/``, ``tests/`` or ``perfbench/`` is dead code. So is a name that a
+``src/hierconn`` module imports and never reads, however an outside caller
+(a test's monkeypatch, the benchmark tracer) might reach it; ``__init__.py``
+is exempt, its imports are the package's re-exports. The checks only read
 those files.
 """
 
@@ -42,3 +46,22 @@ def test_every_module_level_name_is_used():
         if not (name.startswith("__") and name.endswith("__")) and words[name] < 2
     ]
     assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+def imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted((ROOT / "src" / "hierconn").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in read]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

@@ -218,7 +218,7 @@ def graph_nodes(*roots):
 
 def training_step(config, monkeypatch, chain):
     """Graph nodes, loss and parameter gradients of one seeded training step,
-    with every feed-forward sublayer the fused op or its chain."""
+    with every feed-forward sublayer and the classifier head the fused op or its chain."""
     with monkeypatch.context() as m:
         if chain:
             m.setattr(hierconn.model, "ffn", composite_ffn)
@@ -238,7 +238,7 @@ def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_subl
     config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3, dropout=rate)
     nodes, total, grads = training_step(config, monkeypatch, chain=False)
     chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chain=True)
-    sublayers = 2 * config.layers + 1  # node and pool FFN per layer, graph FFN
+    sublayers = 2 * config.layers + 2  # node and pool FFN per layer, graph FFN, head
     assert chain_nodes - nodes == fewer_per_sublayer * sublayers
     assert_same_bits(total, chain_total)
     for name, grad in grads.items():

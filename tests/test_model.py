@@ -40,7 +40,7 @@ def test_dropout_mask_is_the_one_call_draw(size, p):
     # drawn a slice at a time, the mask has the values of one rng.random call
     # and leaves the generator where that call would
     rng, one_call = np.random.default_rng(size), np.random.default_rng(size)
-    keep, scale = _dropout_mask((size,), p, rng)
+    keep, scale = _dropout_mask((size,), p, True, rng)
     assert keep.dtype == np.bool_ and scale == 1.0 / (1.0 - p)
     np.testing.assert_array_equal(keep, one_call.random(size) >= p)
     assert rng.random() == one_call.random()
@@ -48,8 +48,17 @@ def test_dropout_mask_is_the_one_call_draw(size, p):
 
 def test_dropout_mask_keeps_its_shape():
     shape = (2, 3, C // 4 + 1)
-    keep, _ = _dropout_mask(shape, 0.3, np.random.default_rng(1))
+    keep, _ = _dropout_mask(shape, 0.3, True, np.random.default_rng(1))
     np.testing.assert_array_equal(keep, np.random.default_rng(1).random(shape) >= 0.3)
+
+
+@pytest.mark.parametrize("p, train", [(0.3, False), (0.0, True), (0.0, False)])
+def test_dropout_gate_is_off_outside_training_or_at_zero_rate(p, train):
+    # no mask and no draw: the generator is left where it was
+    rng, untouched = np.random.default_rng(2), np.random.default_rng(2)
+    assert _dropout_mask((4, 5), p, train, rng) is None
+    assert rng.random() == untouched.random()
+
 
 
 def layer_norm_oracle(x, gain, bias):
