@@ -347,7 +347,7 @@ def forward_batch(
     w1, b1, w2, b2 = (params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2"))
     mask = _dropout_mask((batch, w1.shape[-1]), config.dropout, train, rng)
     z_g = _check_finite("head", ffn(head_in, w1, b1, w2, b2, mask))
-    z_n = _check_finite("aux", linear(pooled_n, params["aux.w"], params["aux.b"]))
+    z_n = _check_finite("aux", pooled_n @ params["aux.w"] + params["aux.b"])
     return ForwardOutput(
         z_g=z_g, z_n=z_n,
         node_tokens=x_n, subgraph_tokens=x_sg, graph_token=x_g,

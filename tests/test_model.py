@@ -60,7 +60,6 @@ def test_dropout_gate_is_off_outside_training_or_at_zero_rate(p, train):
     assert rng.random() == untouched.random()
 
 
-
 def layer_norm_oracle(x, gain, bias):
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
