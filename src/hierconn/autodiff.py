@@ -14,38 +14,44 @@ goes away. Only leaf gradients survive. A second ``backward`` through a
 used-up node raises ``RuntimeError``; nothing backpropagates twice through
 one graph, so there is no option to keep it.
 
-The model's hot paths are four fused ops, each one graph node whose
-backward is written in closed form instead of being chained through
-primitives:
+Each sublayer of the model is one graph node whose backward is written in
+closed form instead of being chained through primitives:
 
 - ``linear(x, w, b)``: ``x @ w + b`` with the leading axes of ``x`` folded
   into one GEMM; backward is ``g2 @ w^T``, ``x2^T @ g2`` and the row sum of
-  ``g2`` over the flattened ``(rows, features)`` views.
-- ``layer_norm(x, gain, bias, eps)``: with ``xhat = (x - mean) / std``,
-  ``dx = (gx - mean(gx) - xhat * mean(gx * xhat)) / std`` where
-  ``gx = g * gain`` (Ba et al. 2016).
-- ``attention(q, k, v, activation, mask)``: ``P = act(q k^T / sqrt(d))``,
-  optional dropout ``mask``, then ``(P * mask) v``. Only ``P`` is kept;
-  backward is ``P * (u - sum(u * P))`` for softmax and the support-centred
-  sparsemax Jacobian (Martins & Astudillo 2016) for sparsemax, where
-  ``u = (g v^T) * mask``.
-- ``ffn(x, w1, b1, w2, b2, mask)``: ``dropout(gelu(x @ w1 + b1)) @ w2 + b2``.
-  The hidden layer is one array: the first GEMM writes it, and one pass over
-  its slices turns it into ``gelu``'s output and then the dropout output in
-  place, writing the GELU slope ``Phi + h * pdf`` into a second array when a
-  graph is built. The node keeps those two; backward is ``dW2 = a^T g2``,
-  ``ga = ((g2 @ w2^T) * mask) * slope`` (written into the slope's array),
-  ``dW1 = x2^T ga`` and ``dx = ga @ w1^T``. Each step is the numpy operation
-  the ``linear -> gelu -> dropout -> linear`` chain ran, in its order, so
-  values and gradients have the chain's bits. The model calls neither
-  ``Tensor.gelu`` nor ``dropout``: they stay as that chain's steps, the tests'
-  oracle for ``ffn``, and as op names the benchmark tracer wraps.
+  ``g2`` over the flattened ``(rows, features)`` views. It embeds the nodes.
+- ``attention_sublayer``: ``layer_norm(x + attend(x, kv) @ wo + bo)``. The
+  q/k/v projections split into heads as views; ``P = act(q k^T / sqrt(d))``
+  (softmax or sparsemax), times an optional dropout ``mask``, multiplies ``v``
+  straight into merged-head layout (``np.matmul`` with ``out=`` a head-major
+  view, the bits of multiplying and then merging). Backward is the layer-norm
+  gradient ``(gx - mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g *
+  gain`` (Ba et al. 2016), ``P * (u - sum(u * P))`` for softmax or the
+  support-centred sparsemax Jacobian (Martins & Astudillo 2016) with ``u =
+  (g v^T) * mask``, and the GEMMs of each projection. The node keeps the
+  q/k/v projections, ``P``, the merged heads, ``xhat`` and ``std``.
+- ``ffn(x, w1, b1, w2, b2, mask, norm)``: ``dropout(gelu(x @ w1 + b1)) @ w2 +
+  b2``, the classifier head, and with ``norm`` the post-norm sublayer
+  ``layer_norm(x + ffn(x))``. The first GEMM writes the hidden array, and one
+  pass over its slices turns it into ``gelu``'s output and then the dropout
+  output in place, writing the GELU slope ``Phi + h * pdf`` into a second
+  array when a graph is built. The node keeps those two (and ``xhat`` and
+  ``std``); backward is ``dW2 = a^T g2``, ``ga = ((g2 @ w2^T) * mask) *
+  slope`` (in the slope's array), ``dW1 = x2^T ga`` and ``dx = ga @ w1^T``.
 
-A dropout ``mask`` (for ``attention``, ``ffn`` and ``dropout``) is a ``(keep, scale)``
-pair: a bool keep-mask and the inverted-dropout scale ``1 / (1 - p)``. It is
-applied as ``(x * scale) * keep``, which gives the same bits, signed zeros
-included, as multiplying by the float mask ``keep / (1 - p)``, at an eighth
-of its memory.
+A sublayer op runs the numpy operations of the chain of nodes it replaced,
+in their order, and hands each input its gradient contributions in the
+order that chain's sweep did, so values, gradients and trained artifacts
+keep the chain's bits; its backward lets go of each saved array after the
+array's last read. The chain's ``layer_norm`` and ``attention`` (which share
+their kernels with the sublayer ops), ``Tensor.gelu`` and ``dropout`` stay as
+the tests' oracles; the model calls none of them.
+
+A dropout ``mask`` (for the attention ops, ``ffn`` and ``dropout``) is a
+``(keep, scale)`` pair: a bool keep-mask and the inverted-dropout scale
+``1 / (1 - p)``. It is applied as ``(x * scale) * keep``, which gives the same
+bits, signed zeros included, as multiplying by the float mask ``keep / (1 -
+p)``, at an eighth of its memory.
 
 Precision: a tensor keeps float32 data as float32 and stores anything else
 as float64, and every op computes in the dtype of its operands. Constants
@@ -540,6 +546,17 @@ def logsumexp(x: Tensor) -> Tensor:
     return (x - shift).exp().sum(axis=-1, keepdims=True).log() + shift
 
 
+def _linear_backward(x: Tensor, x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> None:
+    """Accumulate the gradients of ``x2 @ w + b``, ``x2`` the (rows, features)
+    view of ``x``, from ``g2`` at its (rows, out) output."""
+    if x.requires_grad:
+        x._accumulate((g2 @ w.data.T).reshape(x.shape))
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2)
+    if b.requires_grad:
+        b._accumulate(g2.sum(axis=0))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``, one flattened GEMM each way."""
     x2 = x.data.reshape(-1, x.shape[-1])
@@ -547,38 +564,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += b.data
 
     def backward(g):
-        g2 = g.reshape(out.shape)
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+        _linear_backward(x, x2, w, b, g.reshape(out.shape))
 
     return Tensor._make(out.reshape(x.shape[:-1] + w.shape[-1:]), (x, w, b), backward)
 
 
+def _normalize(s: np.ndarray, gain: Tensor, bias: Tensor, eps: float, keep: bool):
+    """Layer norm over the last axis of ``s``: overwrite ``s`` with ``xhat = (s -
+    mean) / std`` and return ``(xhat * gain + bias, std)``, the output in a new
+    array if ``keep`` (a backward reads ``xhat``), else in ``s``'s buffer."""
+    scale = 1.0 / s.shape[-1]
+    s -= s.sum(axis=-1, keepdims=True) * scale
+    std = np.sqrt((s * s).sum(axis=-1, keepdims=True) * scale + eps)
+    s /= std
+    out = np.multiply(s, gain.data, out=None if keep else s)
+    out += bias.data
+    return out, std
+
+
+def _normalize_backward(g, xhat, std, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """The gradient at the input of ``_normalize`` from ``g`` at its output;
+    accumulates the gain's and bias's gradients."""
+    if gain.requires_grad:
+        gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+    if bias.requires_grad:
+        bias._accumulate(_unbroadcast(g, bias.shape))
+    scale = 1.0 / g.shape[-1]
+    gx = g * gain.data
+    mean_gx = gx.sum(axis=-1, keepdims=True) * scale
+    mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * scale
+    gx -= mean_gx
+    gx -= xhat * mean_gx_xhat
+    gx /= std
+    return gx
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalise the last axis to zero mean and unit variance, then scale and shift."""
-    scale = 1.0 / x.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + eps)
-    centered /= std
-    xhat = centered
+    xhat = x.data.copy()
+    out, std = _normalize(xhat, gain, bias, eps, keep=True)
 
     def backward(g):
+        gx = _normalize_backward(g, xhat, std, gain, bias)
         if x.requires_grad:
-            gx = g * gain.data
-            mean_gx = gx.sum(axis=-1, keepdims=True) * scale
-            mean_gx_xhat = (gx * xhat).sum(axis=-1, keepdims=True) * scale
-            x._accumulate((gx - mean_gx - xhat * mean_gx_xhat) / std)
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            x._accumulate(gx)
 
-    out = xhat * gain.data
-    out += bias.data
     return Tensor._make(out, (x, gain, bias), backward)
 
 
@@ -606,26 +636,47 @@ def dropout(x: Tensor, mask: tuple[np.ndarray, float]) -> Tensor:
 def ffn(
     x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     mask: tuple[np.ndarray, float] | None = None,
+    norm: tuple[Tensor, Tensor, float] | None = None,
 ) -> Tensor:
     """``dropout(gelu(x @ w1 + b1)) @ w2 + b2`` over the last axis of ``x``, the
     ``(keep, scale)`` dropout ``mask`` shaped like the hidden layer, ``x.shape[:-1]
-    + w1.shape[-1:]``. Each step runs the numpy operations of ``linear``,
-    ``Tensor.gelu``, ``dropout`` and ``linear`` in turn, in their order, so values
-    and gradients keep the composite's bits; the hidden layer lives in one array
-    overwritten in place, and a graph keeps it and the GELU slope only."""
+    + w1.shape[-1:]``; with ``norm = (gain, bias, eps)``, the post-norm sublayer
+    ``layer_norm(x + ffn(x), gain, bias, eps)``. Each step runs the numpy
+    operations of ``linear``, ``Tensor.gelu``, ``dropout``, ``linear``, ``+`` and
+    ``layer_norm`` in turn, in their order, and backward hands ``x`` the residual's
+    gradient before the hidden layer's, so values and gradients keep the chain's
+    bits. The hidden layer lives in one array overwritten in place; a graph keeps
+    it and the GELU slope, and with ``norm`` x̂ and std."""
     x2 = x.data.reshape(-1, x.shape[-1])
     a = x2 @ w1.data
     a += b1.data
-    parents = (x, w1, b1, w2, b2)
-    slope = np.empty_like(a) if _builds_graph(parents) else None
+    parents = (x, w1, b1, w2, b2) + (() if norm is None else norm[:2])
+    graph = _builds_graph(parents)
+    slope = np.empty_like(a) if graph else None
     _gelu_inplace(a, slope, mask)
     out = a @ w2.data
     out += b2.data
+    out = out.reshape(x.shape[:-1] + w2.shape[-1:])
+    xhat = std = None
+    if norm is not None:
+        gain, bias, eps = norm
+        xhat = out
+        xhat += x.data  # the residual, with the bits of x + out
+        out, std = _normalize(xhat, gain, bias, eps, keep=graph)
+    saved = [a, slope, xhat, std]
 
     def backward(g):
-        g2 = g.reshape(out.shape)
+        a, slope, xhat, std = saved
+        saved.clear()  # each array goes after its last read
+        if norm is not None:
+            g = _normalize_backward(g, xhat, std, gain, bias)
+            if x.requires_grad:
+                x._accumulate(g)
+        del xhat
+        g2 = g.reshape(len(x2), -1)
         if w2.requires_grad:
             w2._accumulate(a.T @ g2)
+        del a
         if b2.requires_grad:
             b2._accumulate(g2.sum(axis=0))
         if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
@@ -634,14 +685,38 @@ def ffn(
         if mask is not None:
             _apply_mask(ga, (mask[0].reshape(ga.shape), mask[1]), out=ga)
         ga = np.multiply(slope, ga, out=slope)  # as in Tensor.gelu's backward
-        if x.requires_grad:
-            x._accumulate((ga @ w1.data.T).reshape(x.shape))
-        if w1.requires_grad:
-            w1._accumulate(x2.T @ ga)
-        if b1.requires_grad:
-            b1._accumulate(ga.sum(axis=0))
+        _linear_backward(x, x2, w1, b1, ga)
 
-    return Tensor._make(out.reshape(x.shape[:-1] + w2.shape[-1:]), parents, backward)
+    return Tensor._make(out, parents, backward)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, activation: str) -> np.ndarray:
+    """The probabilities ``act(q k^T / sqrt(d))`` over the last axis of head stacks."""
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    if activation == "softmax":
+        # scipy.special.softmax's operations in its order, in the scores' buffer
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        return scores
+    if activation == "sparsemax":
+        return sparsemax_rows(scores)
+    raise ValueError(f"unknown attention activation {activation!r}")
+
+
+def _attend_backward(u, p, activation: str, mask, d_h: int) -> np.ndarray:
+    """The gradient at the scores ``q k^T`` of ``_attend``, from ``u = g v^T`` at
+    the weights ``P * mask``, in ``u``'s buffer for softmax."""
+    if mask is not None:
+        _apply_mask(u, mask, out=u)
+    if activation == "softmax":
+        u -= (u * p).sum(axis=-1, keepdims=True)
+        u *= p
+    else:
+        u = sparsemax_rows_backward(p, u)
+    u *= 1.0 / math.sqrt(d_h)
+    return u
 
 
 def attention(
@@ -655,19 +730,7 @@ def attention(
     their broadcast shape. Returns the output and the probabilities before
     the mask.
     """
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = q.data @ k.data.swapaxes(-1, -2)
-    scores *= scale
-    if activation == "softmax":
-        # scipy.special.softmax's operations in its order, in the scores' buffer
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        p = scores
-    elif activation == "sparsemax":
-        p = sparsemax_rows(scores)
-    else:
-        raise ValueError(f"unknown attention activation {activation!r}")
+    p = _attend(q.data, k.data, activation)
     weights = p if mask is None else _apply_mask(p, mask)
 
     def backward(g):
@@ -676,18 +739,96 @@ def attention(
             v._accumulate(_unbroadcast(weights.swapaxes(-1, -2) @ g, v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
-        upstream = g @ v.data.swapaxes(-1, -2)
-        if mask is not None:
-            _apply_mask(upstream, mask, out=upstream)
-        if activation == "softmax":
-            upstream -= (upstream * p).sum(axis=-1, keepdims=True)
-            ds = upstream * p
-        else:
-            ds = sparsemax_rows_backward(p, upstream)
-        ds *= scale
+        ds = _attend_backward(g @ v.data.swapaxes(-1, -2), p, activation, mask, q.shape[-1])
         if q.requires_grad:
             q._accumulate(_unbroadcast(ds @ k.data, q.shape))
         if k.requires_grad:
             k._accumulate(_unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.shape))
 
     return Tensor._make(weights @ v.data, (q, k, v), backward), p
+
+
+def _merged_matmul(a: np.ndarray, b: np.ndarray, heads_shape) -> np.ndarray:
+    """``_unbroadcast(a @ b, heads_shape)`` for a (B, H, T, dh) ``heads_shape``, in
+    merged-head (B, T, H * dh) layout. Unless a batch axis is summed, the GEMMs
+    write straight into that layout through a head-major view, with the bits of
+    multiplying and then copying."""
+    batch, heads, t, d_h = heads_shape
+    if np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) != (batch, heads):
+        return _unbroadcast(a @ b, heads_shape).swapaxes(1, 2).reshape(batch, t, heads * d_h)
+    out = np.empty((batch, t, heads, d_h), np.result_type(a, b))
+    np.matmul(a, b, out=out.swapaxes(1, 2))
+    return out.reshape(batch, t, heads * d_h)
+
+
+def attention_sublayer(
+    x: Tensor, kv: Tensor, projections: tuple[Tensor, ...], norm: tuple[Tensor, Tensor, float],
+    heads: int, activation: str, mask: tuple[np.ndarray, float] | None = None,
+) -> tuple[Tensor, np.ndarray]:
+    """The post-norm sublayer ``layer_norm(x + attend(x, kv) @ wo + bo)`` as one node.
+
+    ``x`` (B or 1, Tq, d) holds the queries and the residual, ``kv`` (B, Tk, d)
+    the keys and values; ``projections`` is ``(wq, bq, wk, bk, wv, bv, wo, bo)``,
+    ``norm`` is ``(gain, bias, eps)``, and ``activation`` and the (B, heads, Tq,
+    Tk) ``mask`` are ``attention``'s. Values and gradients have the bits of the
+    chain ``linear``, split heads, ``attention``, merge, ``linear``, ``+``,
+    ``layer_norm``, whose sweep handed ``x`` its gradients from the residual,
+    the queries, the keys and the values in that order. Returns the output and
+    the per-head probabilities before the mask."""
+    wq, bq, wk, bk, wv, bv, wo, bo = projections
+    gain, bias, eps = norm
+    parents = (x, kv, *projections, gain, bias)
+
+    def project(src, w, b):
+        src2 = src.data.reshape(-1, src.shape[-1])
+        out = src2 @ w.data
+        out += b.data
+        return src2, out.reshape(src.shape[:-1] + (heads, -1)).swapaxes(1, 2)
+
+    x2, q = project(x, wq, bq)
+    kv2, k = project(kv, wk, bk)
+    _, v = project(kv, wv, bv)
+    p = _attend(q, k, activation)
+    weights = p if mask is None else _apply_mask(p, mask)
+    merged = _merged_matmul(weights, v, p.shape[:-1] + v.shape[-1:])
+    del weights
+    merged2 = merged.reshape(-1, merged.shape[-1])
+    xhat = merged2 @ wo.data
+    xhat += bo.data
+    xhat = xhat.reshape(merged.shape)
+    xhat += x.data  # the residual, with the bits of x + out
+    out, std = _normalize(xhat, gain, bias, eps, keep=_builds_graph(parents))
+    saved = [xhat, std, merged2, q, k, v, p]
+    kv_heads = k.shape
+
+    def backward(g):
+        # each saved array goes after its last read, as the chain's sweep let go
+        # of its nodes one by one
+        xhat, std, merged2, q, k, v, p = saved
+        saved.clear()
+        gs = _normalize_backward(g, xhat, std, gain, bias)
+        del xhat
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(gs, x.shape))
+        gs = gs.reshape(merged2.shape)
+        if wo.requires_grad:
+            wo._accumulate(merged2.T @ gs)
+        if bo.requires_grad:
+            bo._accumulate(gs.sum(axis=0))
+        gm = (gs @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(1, 2)
+        del merged2, gs
+        ds = gm @ v.swapaxes(-1, -2)
+        del v
+        ds = _attend_backward(ds, p, activation, mask, q.shape[-1])
+        _linear_backward(x, x2, wq, bq, _merged_matmul(ds, k, q.shape).reshape(x2.shape))
+        dk = _merged_matmul(ds.swapaxes(-1, -2), q, kv_heads)
+        del ds, q, k
+        _linear_backward(kv, kv2, wk, bk, dk.reshape(kv2.shape))
+        del dk
+        weights = p if mask is None else _apply_mask(p, mask)
+        del p
+        dv = _merged_matmul(weights.swapaxes(-1, -2), gm, kv_heads)
+        del weights, gm
+        _linear_backward(kv, kv2, wv, bv, dv.reshape(kv2.shape))
+
+    return Tensor._make(out, parents, backward), p

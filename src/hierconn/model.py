@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import _CDF_CHUNK, Tensor, as_tensor, attention, concat, ffn, layer_norm, linear
+from .autodiff import _CDF_CHUNK, Tensor, as_tensor, attention_sublayer, concat, ffn, linear
 from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 
 LN_EPS = 1e-5
@@ -208,20 +208,9 @@ def _dropout_mask(shape, p: float, train: bool, rng) -> tuple[np.ndarray, float]
     return keep, 1.0 / (1.0 - p)
 
 
-def _split_heads(x: Tensor, heads: int, d_h: int) -> Tensor:
-    b, t, _ = x.shape
-    return x.reshape(b, t, heads, d_h).swapaxes(1, 2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, d_h = x.shape
-    return x.swapaxes(1, 2).reshape(b, t, h * d_h)
-
-
 def _attention(
     query_src: Tensor,
     kv_src: Tensor,
-    residual_src: Tensor,
     params: ModelParams,
     config: ModelConfig,
     prefix: str,
@@ -230,32 +219,24 @@ def _attention(
     train: bool,
     rng,
 ) -> tuple[Tensor, np.ndarray]:
-    """One attention sublayer: project, attend, merge, output-project, post-norm.
-
-    Returns (normed output, per-head attention).
-    """
-    p = params
-
-    def project(x, name):
-        w, b = p[f"{prefix}.w{name}"], p[f"{prefix}.b{name}"]
-        return _split_heads(linear(x, w, b), config.heads, config.d_h)
-
-    q, key, value = project(query_src, "q"), project(kv_src, "k"), project(kv_src, "v")
-    # probabilities broadcast over the batch axes of q and key
-    shape = np.broadcast_shapes(q.shape[:-2], key.shape[:-2]) + (q.shape[-2], key.shape[-2])
+    """One attention sublayer (``attention_sublayer``); ``query_src`` is also the
+    residual. Returns (normed output, per-head attention)."""
+    # (wq, bq, wk, bk, wv, bv, wo, bo)
+    projections = tuple(params[f"{prefix}.{w}{role}"] for role in "qkvo" for w in "wb")
+    norm = params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS
+    # probabilities broadcast over the batch axes of the queries and keys
+    shape = np.broadcast_shapes(query_src.shape[:-2], kv_src.shape[:-2]) + (
+        config.heads, query_src.shape[-2], kv_src.shape[-2]
+    )
     mask = _dropout_mask(shape, config.dropout, train, rng)
-    pooled, per_head = attention(q, key, value, activation, mask)
-    out = linear(_merge_heads(pooled), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    normed = layer_norm(residual_src + out, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"], LN_EPS)
-    return normed, per_head
+    return attention_sublayer(query_src, kv_src, projections, norm, config.heads, activation, mask)
 
 
 def _ffn(x: Tensor, params: ModelParams, config: ModelConfig, prefix: str, *, train: bool, rng) -> Tensor:
     w1, b1, w2, b2 = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
     mask = _dropout_mask(x.shape[:-1] + w1.shape[-1:], config.dropout, train, rng)
-    out = ffn(x, w1, b1, w2, b2, mask)
-    normed = layer_norm(x + out, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS)
-    return _check_finite(prefix, normed)
+    norm = params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS
+    return _check_finite(prefix, ffn(x, w1, b1, w2, b2, mask, norm))
 
 
 def embed_nodes(matrices, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -270,7 +251,7 @@ def node_to_node(x, params: ModelParams, config: ModelConfig, layer: int, *, tra
     """Standard multi-head self-attention over node tokens, post-norm."""
     x = as_tensor(x)
     out, _ = _attention(
-        x, x, x, params, config, f"layers.{layer}.node_attn",
+        x, x, params, config, f"layers.{layer}.node_attn",
         activation="softmax", train=train, rng=rng,
     )
     return _check_finite(f"layers.{layer}.node_attn", out)
@@ -282,7 +263,7 @@ def node_to_subgraph(
     """Subgraph tokens query the nodes; rows are simplex projections."""
     x_sg, x_n = as_tensor(x_sg), as_tensor(x_n)
     out, per_head = _attention(
-        x_sg, x_n, x_sg, params, config, f"layers.{layer}.pool_attn",
+        x_sg, x_n, params, config, f"layers.{layer}.pool_attn",
         activation="sparsemax", train=train, rng=rng,
     )
     return _check_finite(f"layers.{layer}.pool_attn", out), per_head.mean(axis=-3), per_head
@@ -297,7 +278,7 @@ def subgraph_to_graph(
     x_g_b = x_g.broadcast_to((batch,) + tuple(x_g.shape[1:]))
     kv = concat([x_g_b, x_sg], axis=1)
     out, per_head = _attention(
-        x_g_b, kv, x_g_b, params, config, "graph_attn",
+        x_g_b, kv, params, config, "graph_attn",
         activation="softmax", train=train, rng=rng,
     )
     # single query row: (B, 1, K+1) -> (B, K+1)

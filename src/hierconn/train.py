@@ -211,7 +211,10 @@ def fit(
     """Train to convergence or patience; restores the best-metric weights.
 
     Deterministic given ``cfg.seed`` on one thread: batch order, mixup draws,
-    and dropout masks all come from seed-derived generators.
+    and dropout masks all come from seed-derived generators. An epoch whose
+    validation raises ``NumericalError`` records no metric, cannot become best
+    and counts toward patience; only when no epoch validates is the first such
+    error raised.
     """
     if not train_records or not val_records:
         raise EmptyDataset("fit needs nonempty train and validation sets")
@@ -235,6 +238,7 @@ def fit(
     epochs_run = 0
     stale = 0
     global_step = 0
+    val_error: NumericalError | None = None
 
     for epoch in range(1, cfg.epochs + 1):
         epochs_run = epoch
@@ -269,17 +273,21 @@ def fit(
             epoch_losses.append(breakdown.total)
             global_step += 1
 
-        val_scores = predict_scores(x_val, params, config)
-        key = _val_metric(cfg.early_stop_metric, val_scores, y_val)
+        try:
+            key = _val_metric(cfg.early_stop_metric, predict_scores(x_val, params, config), y_val)
+        except NumericalError as exc:
+            # the float32 eval copy can overflow where float64 training did not
+            key = None
+            val_error = val_error or exc
         history.append(
             {
                 "epoch": epoch,
                 "train_loss": float(np.mean(epoch_losses)) if epoch_losses else None,
-                "val_metric": key[0],
+                "val_metric": None if key is None else key[0],
             }
         )
-        improved = key > best_key
-        if key >= best_key:
+        improved = key is not None and key > best_key
+        if key is not None and key >= best_key:
             # ties keep the latest weights: at equal validation quality the
             # longer-trained model carries the matured attention structure
             # and the ramped-in consistency refinement
@@ -293,6 +301,8 @@ def fit(
             if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
                 break
 
+    if all(entry["val_metric"] is None for entry in history):
+        raise val_error
     if best_state is not None:
         params.flat[...] = best_state
 

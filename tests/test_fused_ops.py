@@ -5,10 +5,11 @@ fused ops existed; they are kept here only as oracles. Values and gradients
 must agree to 1e-12 for random shapes, both attention activations, with and
 without a dropout mask, and with a query broadcast over the batch axis.
 Dropout is checked bit for bit against the float-multiplier mask it replaced,
-and the feed-forward op bit for bit against its chain, alone and inside a
-training step of the whole model.
+and the feed-forward op and both post-norm sublayer ops bit for bit against
+their chains, alone and inside a training step of the whole model.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 import hierconn.model
-from hierconn.autodiff import Tensor, attention, dropout, ffn, layer_norm, linear, no_grad
+from hierconn.autodiff import (
+    Tensor, attention, attention_sublayer, dropout, ffn, layer_norm, linear, no_grad,
+)
 from hierconn.losses import LossWeights, total_loss_graph
 from hierconn.model import LN_EPS, ModelConfig, forward_batch, init_params
 
@@ -51,11 +54,36 @@ def composite_attention(q, k, v, activation, mask=None):
     return weights @ v, p.data
 
 
-def composite_ffn(x, w1, b1, w2, b2, mask=None):
+def composite_ffn(x, w1, b1, w2, b2, mask=None, norm=None):
     hidden = linear(x, w1, b1).gelu()
     if mask is not None:
         hidden = dropout(hidden, mask)
-    return linear(hidden, w2, b2)
+    return post_norm(x, linear(hidden, w2, b2), norm)
+
+
+def post_norm(x, out, norm):
+    return out if norm is None else layer_norm(x + out, *norm)
+
+
+def sublayer_ffn(x, w1, b1, w2, b2, mask=None, norm=None):
+    """The fused feed-forward op, then the residual add and post-norm as two more nodes."""
+    return post_norm(x, ffn(x, w1, b1, w2, b2, mask), norm)
+
+
+def composite_attention_sublayer(x, kv, projections, norm, heads, activation, mask=None):
+    """The 15-node chain: q/k/v ``linear`` and split-head views, ``attention``, the
+    merge, the output ``linear``, the residual add and ``layer_norm``."""
+    wq, bq, wk, bk, wv, bv, wo, bo = projections
+
+    def split(t):
+        b, n, d = t.shape
+        return t.reshape(b, n, heads, d // heads).swapaxes(1, 2)
+
+    q, k, v = split(linear(x, wq, bq)), split(linear(kv, wk, bk)), split(linear(kv, wv, bv))
+    pooled, p = attention(q, k, v, activation, mask)
+    b, h, t, d_h = pooled.shape
+    merged = pooled.swapaxes(1, 2).reshape(b, t, h * d_h)
+    return layer_norm(x + linear(merged, wo, bo), *norm), p
 
 
 def run(op, arrays, upstream_seed):
@@ -169,10 +197,62 @@ def test_ffn_is_its_chain_bit_for_bit(tokens, rate):
     mask = None
     if rate:
         mask = rng.random((batch, tokens, hidden)) >= rate, 1.0 / (1.0 - rate)
-    fused = run(lambda *t: ffn(*t, mask), arrays, tokens)
-    chain = run(lambda *t: composite_ffn(*t, mask), arrays, tokens)
-    assert_same_bits(fused[0], chain[0])
-    for got, expect in zip(fused[2], chain[2]):
+    gain_bias = [1.0 + rng.normal(size=d) * 0.1, rng.normal(size=d) * 0.1]
+
+    def op(chain):
+        def call(x, w1, b1, w2, b2, *norm):
+            return chain(x, w1, b1, w2, b2, mask, (*norm, LN_EPS) if norm else None)
+
+        return call
+
+    # the classifier head, then a post-norm sublayer
+    for inputs, chains in ((arrays, [composite_ffn]),
+                           (arrays + gain_bias, [composite_ffn, sublayer_ffn])):
+        fused = run(op(ffn), inputs, tokens)
+        for chain in chains:
+            expect = run(op(chain), inputs, tokens)
+            assert_same_bits(fused[0], expect[0])
+            for got, grad in zip(fused[2], expect[2], strict=True):
+                assert_same_bits(got, grad)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("tq, tk, shared, query_batch, activation", [
+    # queries, keys and values from one tensor, as node self-attention
+    pytest.param(7, 7, True, True, "softmax", id="node"),
+    # the (1, K, d) subgraph tokens of pool block 0 query every subject's nodes
+    pytest.param(3, 7, False, False, "sparsemax", id="pool-block-0"),
+    pytest.param(3, 7, False, True, "sparsemax", id="pool"),
+    # graph attention's single (B, 1, d) query
+    pytest.param(1, 4, False, True, "softmax", id="graph"),
+])
+def test_attention_sublayer_is_its_chain_bit_for_bit(tq, tk, shared, query_batch, activation, rate):
+    batch, d, heads = 3, 8, 2
+    rng = np.random.default_rng([tq, tk, query_batch])
+    kv = rng.normal(size=(batch, tk, d))
+    x = kv if shared else rng.normal(size=(batch if query_batch else 1, tq, d))
+    weights = [rng.normal(size=(d, d)) * 0.5 if i % 2 == 0 else rng.normal(size=d) * 0.3
+               for i in range(8)]
+    weights += [1.0 + rng.normal(size=d) * 0.1, rng.normal(size=d) * 0.1]
+    mask = None
+    if rate:
+        mask = rng.random((batch, heads, tq, tk)) >= rate, 1.0 / (1.0 - rate)
+
+    def op(sublayer):
+        def call(*tensors):
+            x, kv = (tensors[0],) * 2 if shared else tensors[:2]
+            w = tensors[1:] if shared else tensors[2:]
+            return sublayer(x, kv, w[:8], (*w[8:], LN_EPS), heads, activation, mask)
+
+        return call
+
+    arrays = ([] if shared else [x]) + [kv] + weights
+    fused = run(op(attention_sublayer), arrays, 7)
+    chain = run(op(composite_attention_sublayer), arrays, 7)
+    if activation == "sparsemax":  # the projection is sparse and not one-hot
+        assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
+    for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
+                           strict=True):
         assert_same_bits(got, expect)
 
 
@@ -206,6 +286,39 @@ def test_ffn_without_a_graph_keeps_no_slope():
     assert 2 * hidden_bytes <= held < 3 * hidden_bytes, held  # the hidden layer and the slope
 
 
+def test_attention_sublayer_keeps_only_what_its_backward_reads():
+    # a (B, T, d) array is 512 KiB, the probabilities 1 MiB
+    batch, tokens, d, heads = 8, 64, 128, 4
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(batch, tokens, d)), requires_grad=True)
+    weights = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+               for s in [(d, d), (d,)] * 4 + [(d,), (d,)]]
+    mask = rng.random((batch, heads, tokens, tokens)) >= 0.1, 1.0 / 0.9
+    act, probs = batch * tokens * d * 8, batch * heads * tokens * tokens * 8
+
+    def traced(build_graph):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with contextlib.nullcontext() if build_graph else no_grad():
+                out, p = attention_sublayer(
+                    x, x, weights[:8], (*weights[8:], LN_EPS), heads, "softmax", mask
+                )
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        return out, held
+
+    out, held = traced(build_graph=False)
+    assert not out.requires_grad
+    assert act + probs <= held < act + probs + act // 8, held  # the output and probabilities
+    out, held = traced(build_graph=True)
+    assert out.requires_grad
+    # also q, k, v, the merged heads and x-hat; not the output projection or the
+    # residual sum, each one more (B, T, d) array
+    assert 6 * act + probs <= held < 6 * act + probs + act // 2, held
+
+
 def graph_nodes(*roots):
     seen, stack = set(), list(roots)
     while stack:
@@ -216,12 +329,12 @@ def graph_nodes(*roots):
     return len(seen)
 
 
-def training_step(config, monkeypatch, chain):
-    """Graph nodes, loss and parameter gradients of one seeded training step,
-    with every feed-forward sublayer and the classifier head the fused op or its chain."""
+def training_step(config, monkeypatch, chains):
+    """Graph nodes, loss and parameter gradients of one seeded training step, with
+    the model's ops named in ``chains`` replaced by the chains given there."""
     with monkeypatch.context() as m:
-        if chain:
-            m.setattr(hierconn.model, "ffn", composite_ffn)
+        for name, chain in chains.items():
+            m.setattr(hierconn.model, name, chain)
         params = init_params(config, 3)
         rng = np.random.default_rng(0)
         matrices = rng.uniform(-1.0, 1.0, size=(6, config.n, config.n))
@@ -233,13 +346,20 @@ def training_step(config, monkeypatch, chain):
     return nodes, total.data, {name: params[name].grad for name in params.names()}
 
 
-@pytest.mark.parametrize("rate, fewer_per_sublayer", [(0.1, 3), (0.0, 2)])
-def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_sublayer, monkeypatch):
+@pytest.mark.parametrize("rate, fewer_per_ffn", [(0.1, 3), (0.0, 2)])
+def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_ffn, monkeypatch):
     config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3, dropout=rate)
-    nodes, total, grads = training_step(config, monkeypatch, chain=False)
-    chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chain=True)
-    sublayers = 2 * config.layers + 2  # node and pool FFN per layer, graph FFN, head
-    assert chain_nodes - nodes == fewer_per_sublayer * sublayers
-    assert_same_bits(total, chain_total)
-    for name, grad in grads.items():
-        assert_same_bits(grad, chain_grads[name])
+    nodes, total, grads = training_step(config, monkeypatch, {})
+    sublayers = 2 * config.layers + 1  # of each kind: node and pool per layer, graph
+    # an attention sublayer was 15 nodes and a feed-forward one 3 (ffn, add,
+    # norm); the primitive chain of each FFN and the head adds linear, gelu,
+    # (dropout,) linear
+    fewer = 14 * sublayers + 2 * sublayers
+    for ffn_chain, chain_fewer in ((sublayer_ffn, fewer),
+                                   (composite_ffn, fewer + fewer_per_ffn * (sublayers + 1))):
+        chains = {"attention_sublayer": composite_attention_sublayer, "ffn": ffn_chain}
+        chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chains)
+        assert (nodes, chain_nodes - nodes) == (80, chain_fewer)
+        assert_same_bits(total, chain_total)
+        for name, grad in grads.items():
+            assert_same_bits(grad, chain_grads[name])

@@ -22,7 +22,7 @@ from hierconn.model import EVAL_DTYPE, ModelConfig, forward_batch, init_params
 from hierconn.train import predict_scores
 
 CONFIG = ModelConfig(n=16, d=16, heads=4, layers=2, k=4, dropout=0.1)
-OPS = ("linear", "attention", "layer_norm", "ffn")
+OPS = ("linear", "attention_sublayer", "ffn")
 
 
 def cohort(subjects=20):
@@ -45,7 +45,7 @@ def spread_params(seed=6):
 
 @pytest.fixture()
 def recorded(monkeypatch):
-    """Output dtype of every linear, attention, layer_norm and ffn call, by op."""
+    """Output dtype of every linear, attention_sublayer and ffn call, by op."""
     dtypes = {op: [] for op in OPS}
 
     def recording(op, original):

@@ -355,6 +355,36 @@ class TestFit:
         )
         assert report.skipped_batches == report.total_steps
 
+    def test_failed_validation_counts_toward_patience_and_keeps_the_best(
+        self, monkeypatch, tmp_path
+    ):
+        # epoch 2's validation forward overflows: that epoch records no metric,
+        # counts toward patience, and epoch 1's weights are still saved as best
+        import hierconn.train as train_mod
+
+        ds, split, config, params, cfg = tiny_setup(epochs=5)
+        cfg = TrainConfig(**{**cfg.to_dict(), "early_stop_patience": 2})
+        seen = []
+
+        def scores(matrices, p, c):
+            seen.append(p.flat.copy())
+            if len(seen) == 2:
+                raise NonFiniteActivation("non-finite values after head")
+            return predict_scores(matrices, p, c)
+
+        keys = iter([(0.9, 0.9), (0.5, 0.5)])  # epochs 1 and 3
+        monkeypatch.setattr(train_mod, "predict_scores", scores)
+        monkeypatch.setattr(train_mod, "_val_metric", lambda *args: next(keys))
+        report = fit(
+            ds.subset(split.train_ids), ds.subset(split.val_ids),
+            params, config, cfg, LossWeights(), out_dir=tmp_path,
+        )
+        assert [e["val_metric"] for e in report.history] == [0.9, None, 0.5]
+        assert (report.best_epoch, report.epochs_run) == (1, 3)
+        _, saved, meta = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert meta["best_epoch"] == 1
+        np.testing.assert_array_equal(saved.flat, seen[0])
+
     @pytest.mark.parametrize("skip", [False, True], ids=["steps", "skipped"])
     def test_each_step_graph_freed_before_next_forward(self, monkeypatch, skip):
         # a step's graph (reached through its logits) and its parameter
