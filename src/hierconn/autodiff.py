@@ -690,16 +690,23 @@ def ffn(
     return Tensor._make(out, parents, backward)
 
 
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in ``x``'s own buffer, returned.
+
+    Runs scipy.special.softmax's operations in its order (``x - max``, ``exp``,
+    ``/ sum``), so it gives scipy's bits without importing scipy."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def _attend(q: np.ndarray, k: np.ndarray, activation: str) -> np.ndarray:
     """The probabilities ``act(q k^T / sqrt(d))`` over the last axis of head stacks."""
     scores = q @ k.swapaxes(-1, -2)
     scores *= 1.0 / math.sqrt(q.shape[-1])
     if activation == "softmax":
-        # scipy.special.softmax's operations in its order, in the scores' buffer
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        return scores
+        return softmax_rows(scores)
     if activation == "sparsemax":
         return sparsemax_rows(scores)
     raise ValueError(f"unknown attention activation {activation!r}")

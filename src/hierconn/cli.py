@@ -9,6 +9,7 @@ effective configuration that produced them.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
@@ -140,14 +141,40 @@ def _load_configured_dataset(cfg: RunConfig):
     raise _UsageError("one of --data or --synth is required")
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _keep_training_heap() -> None:
+    """Keep the memory a training step frees mapped for the next step.
+
+    By default glibc serves large arrays with fresh mmaps and hands the top of
+    the heap back to the system after each step, so every forward faults its
+    activations in again. Serving arrays below 32 MiB (glibc's largest mmap
+    threshold) from the heap and never trimming it lets the next step reuse
+    those pages. Only ``train`` and ``evaluate`` set this: a forward-only
+    command would only hold more memory. A libc without ``mallopt`` is left as
+    it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no dlopen(NULL)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)  # the largest int: in effect, never trim
+
+
 def _prepare_run(args, command: str):
     """Config, dataset and the built model, train and loss sections, then the
-    run directory holding the effective config: a bad value leaves no directory."""
+    run directory holding the effective config (a bad value leaves no
+    directory) and the training heap policy."""
     cfg = parse_config(args.config, _overrides_from_args(args))
     ds = _load_configured_dataset(cfg)
     sections = cfg.model_config(ds.n), cfg.train_config(), cfg.loss_weights()
     run_dir = _resolve_run_dir(cfg.out, command)
     write_json(run_dir / "effective_config.json", cfg.to_dict())
+    _keep_training_heap()
     return cfg, ds, *sections, run_dir
 
 

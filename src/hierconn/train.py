@@ -5,13 +5,14 @@ metric, and bit-reproducible checkpoints."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import softmax
 
 from .atomic import atomic_open
+from .autodiff import softmax_rows
 from .checkpoint import save_checkpoint
 from .data import SubjectRecord, mixup, stack_records
 from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch, check_fields
@@ -168,7 +169,7 @@ def predict_scores(
     (``interpret.eval_pass``); the softmax runs in float64."""
     logits = eval_pass(matrices, params, config, lambda out: out.z_g.data)
     empty = np.empty((0, config.class_count))  # zero subjects give zero scores
-    return softmax(np.concatenate([empty, *logits], dtype=np.float64), axis=-1)[:, 1]
+    return softmax_rows(np.concatenate([empty, *logits], dtype=np.float64))[:, 1]
 
 
 def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -214,7 +215,8 @@ def fit(
     and dropout masks all come from seed-derived generators. An epoch whose
     validation raises ``NumericalError`` records no metric, cannot become best
     and counts toward patience; only when no epoch validates is the first such
-    error raised.
+    error raised. A run whose every optimizer step was skipped still finishes,
+    with a ``RuntimeWarning`` naming the count and the first error's class.
     """
     if not train_records or not val_records:
         raise EmptyDataset("fit needs nonempty train and validation sets")
@@ -235,6 +237,7 @@ def fit(
     best_epoch = 0
     best_state: np.ndarray | None = None
     skipped = 0
+    first_skip: str | None = None  # a class name: the exception would keep the step's graph
     epochs_run = 0
     stale = 0
     global_step = 0
@@ -259,10 +262,11 @@ def fit(
                     xb, yb, params, config, state, cfg, weights,
                     lr_t, global_step, total_steps, drop_rng,
                 )
-            except NumericalError:
+            except NumericalError as exc:
                 # any numerical blowup in the step (non-finite scores,
                 # activations or gradients, a zero-norm token) skips the
                 # batch without killing the run
+                first_skip = first_skip or type(exc).__name__
                 skipped += 1
                 global_step += 1
                 continue
@@ -301,6 +305,11 @@ def fit(
             if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
                 break
 
+    if skipped == global_step:
+        warnings.warn(
+            f"all {skipped} optimizer steps were skipped; the first raised {first_skip}",
+            RuntimeWarning, stacklevel=2,
+        )
     if all(entry["val_metric"] is None for entry in history):
         raise val_error
     if best_state is not None:

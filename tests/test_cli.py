@@ -1,12 +1,16 @@
 """Config parsing and the command-line surface, including exit codes."""
 
+import ctypes
 import json
 import struct
+import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
 import hierconn.cli
+import hierconn.train
 from hierconn.checkpoint import save_checkpoint
 from hierconn.cli import main
 from hierconn.config import CONFIG_KEYS, parse_config
@@ -363,9 +367,62 @@ class TestInterpretCommand:
         assert code == 2
 
 
+@pytest.fixture()
+def heap_calls(monkeypatch):
+    """The allocator settings a command makes, through a stand-in for libc's
+    ``mallopt``, and a ``"step"`` for each training step, in order."""
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    train_step = hierconn.train._train_step
+    monkeypatch.setattr(
+        hierconn.train, "_train_step", lambda *args: calls.append("step") or train_step(*args)
+    )
+    return calls
+
+
+class TestHeapPolicy:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_training_commands_keep_the_heap_before_the_first_step(
+        self, command, heap_calls, synth_spec_file, tmp_path
+    ):
+        assert main([
+            command, "--synth", str(synth_spec_file), "--out", str(tmp_path / "run"),
+            *fast_flags(tmp_path), "--folds", "2",
+        ]) == 0
+        mmap_threshold, trim_threshold, first_step = heap_calls[:3]
+        assert mmap_threshold == (-3, 32 << 20)  # glibc's M_MMAP_THRESHOLD at its maximum
+        assert trim_threshold[0] == -1 and trim_threshold[1] >= 1 << 30  # M_TRIM_THRESHOLD
+        assert first_step == "step"
+
+    def test_synth_and_interpret_set_nothing(self, heap_calls, synth_spec_file, tmp_path):
+        ds_out = tmp_path / "ds"
+        assert main(["synth", "--spec", str(synth_spec_file), "--out", str(ds_out)]) == 0
+        config = ModelConfig(n=SPEC["n"], d=8, heads=2, layers=1, k=3)
+        path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 0))
+        assert main([
+            "interpret", "--checkpoint", str(path), "--data", str(ds_out / "manifest.json"),
+            "--out", str(tmp_path / "interp"),
+        ]) == 0
+        assert heap_calls == []
+
+    def test_libc_without_mallopt_is_a_silent_noop(
+        self, monkeypatch, synth_spec_file, tmp_path, capsys
+    ):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "train", "--synth", str(synth_spec_file), "--out", str(tmp_path / "run"),
+                *fast_flags(tmp_path),
+            ]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestGradcheckCommand:
-    def test_passes_and_lists_every_tensor(self, capsys):
+    def test_passes_and_lists_every_tensor(self, capsys, heap_calls):
         assert main(["gradcheck", "--seed", "0"]) == 0
+        assert heap_calls == []  # the heap policy is for training commands only
         out = capsys.readouterr().out
         from hierconn.gradcheck import TINY_CONFIG
         from hierconn.model import init_params

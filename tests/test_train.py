@@ -349,11 +349,16 @@ class TestFit:
             raise error
 
         monkeypatch.setattr(train_mod, "collect_gradients", bad_collect)
-        report = fit(
-            ds.subset(split.train_ids), ds.subset(split.val_ids),
-            params, config, cfg, LossWeights(),
-        )
+        with pytest.warns(RuntimeWarning) as record:
+            report = fit(
+                ds.subset(split.train_ids), ds.subset(split.val_ids),
+                params, config, cfg, LossWeights(),
+            )
         assert report.skipped_batches == report.total_steps
+        assert str(record[0].message) == (
+            f"all {report.total_steps} optimizer steps were skipped; "
+            f"the first raised {type(error).__name__}"
+        )
 
     def test_failed_validation_counts_toward_patience_and_keeps_the_best(
         self, monkeypatch, tmp_path
