@@ -38,7 +38,7 @@ from .interpret import (
     rank_subgraphs,
     select_cohort,
 )
-from .model import init_params
+from .model import EVAL_DTYPE, init_params
 from .train import fit
 
 
@@ -219,7 +219,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_interpret(args) -> int:
-    model_config, params, _meta = load_checkpoint(args.checkpoint)
+    model_config, params, _meta = load_checkpoint(args.checkpoint, EVAL_DTYPE)
     ds = load_dataset(args.data)
     run_dir = _resolve_run_dir(args.out, "interpret")
     cohort = select_cohort(ds, include_controls=args.include_controls)

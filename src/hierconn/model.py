@@ -10,7 +10,8 @@ tokens; an auxiliary head reads mean-pooled node tokens alone.
 
 A forward computes in the dtype of the parameters it is given: training and
 gradient checks pass the float64 master tensors, eval-mode inference passes
-an ``EVAL_DTYPE`` copy of them (``ModelParams.astype``).
+an ``EVAL_DTYPE`` copy of them (``ModelParams.astype``), or the ``EVAL_DTYPE``
+parameters ``hierconn interpret`` loads, which it passes on without a copy.
 """
 
 from __future__ import annotations
@@ -96,8 +97,11 @@ class ModelParams:
             t.grad = None
 
     def astype(self, dtype) -> "ModelParams":
-        """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards."""
+        """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards;
+        ``self`` when its tensors already are constant and of ``dtype``."""
         self.check_views()
+        if self.flat.dtype == dtype and not any(t.requires_grad for t in self.tensors.values()):
+            return self
         shapes = {name: t.shape for name, t in self.tensors.items()}
         return ModelParams(shapes, self.flat.astype(dtype), requires_grad=False)
 

@@ -297,7 +297,9 @@ def fit(
             # and the ramped-in consistency refinement
             best_key = key
             best_epoch = epoch
-            best_state = params.flat.copy()
+            if best_state is None:  # one snapshot buffer, refilled at each best epoch
+                best_state = np.empty_like(params.flat)
+            np.copyto(best_state, params.flat)
         if improved:
             stale = 0
         else:

@@ -2,7 +2,8 @@
 
 ``predict_scores`` and ``cohort_traces`` must return exactly what one
 whole-batch eval forward in ``EVAL_DTYPE`` returns, and their memory must not
-grow with the number of subjects.
+grow with the number of subjects. A checkpoint loads in fixed slices, so its
+memory is the parameters plus one slice.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy.special import softmax
 
 import hierconn.interpret
 from hierconn.autodiff import no_grad
+from hierconn.checkpoint import READ_SLICE, load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
 from hierconn.model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, forward_batch, init_params
@@ -121,3 +123,19 @@ def test_memory_stays_bounded_per_chunk(run):
         run(*args)  # warm caches and lazy imports outside the measurement
         peaks[size] = traced_peak(lambda: run(*args))
     assert peaks[8 * EVAL_CHUNK] <= 1.5 * peaks[EVAL_CHUNK], peaks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, EVAL_DTYPE], ids=["float64", "eval-dtype"])
+def test_checkpoint_load_holds_the_parameters_plus_one_slice(dtype, tmp_path):
+    """A load of ~1M weights peaks at the parameters in ``dtype`` (the float64
+    payload, or half of it) plus one float64 read slice, and 256 KiB for the
+    header, tensors and views (~90 KiB measured). Reading the whole file and
+    casting it held the payload twice, and a later eval cast once more."""
+    config = ModelConfig(n=20, d=128, heads=2, layers=2, k=4)
+    path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 3))
+    load_checkpoint(path, dtype)  # warm caches and lazy imports outside the measurement
+    params = []
+    peak = traced_peak(lambda: params.append(load_checkpoint(path, dtype)[1]))
+    flat = params[0].flat
+    assert flat.size >= 1_000_000 and flat.dtype == dtype
+    assert peak <= flat.nbytes + 8 * READ_SLICE + (256 << 10), (peak, flat.nbytes)

@@ -21,7 +21,7 @@ from hierconn.data import (
     load_dataset,
     save_dataset,
 )
-from hierconn.model import ModelConfig, init_params
+from hierconn.model import EVAL_DTYPE, ModelConfig, init_params
 from hierconn.errors import InvalidSpec, InvalidValue, ParseError, UnknownKey
 
 
@@ -319,6 +319,26 @@ class TestInterpretCommand:
         assert code == 2
         assert err.startswith("data error: ") and err.count("\n") == 1  # one line, no traceback
         assert not out.exists()
+
+    def test_loads_the_checkpoint_once_in_eval_dtype(self, synth_spec_file, tmp_path, monkeypatch):
+        """``interpret`` holds no float64 weights: it loads them in ``EVAL_DTYPE``
+        through ``hierconn.cli.load_checkpoint``, the path first and positional
+        (the benchmark tracer wraps that name and reads the path from ``args[0]``)."""
+        ds_out = tmp_path / "ds"
+        main(["synth", "--spec", str(synth_spec_file), "--out", str(ds_out)])
+        config = ModelConfig(n=SPEC["n"], d=8, heads=2, layers=1, k=3)
+        path = save_checkpoint(tmp_path / "c.bin", config, init_params(config, 0))
+        calls = []
+        load = hierconn.cli.load_checkpoint
+        monkeypatch.setattr(
+            hierconn.cli, "load_checkpoint",
+            lambda *args, **kwargs: calls.append((args, kwargs)) or load(*args, **kwargs),
+        )
+        assert main([
+            "interpret", "--checkpoint", str(path), "--data", str(ds_out / "manifest.json"),
+            "--out", str(tmp_path / "interp"),
+        ]) == 0
+        assert calls == [((str(path), EVAL_DTYPE), {})]
 
     def test_end_to_end(self, synth_spec_file, tmp_path):
         train_out = tmp_path / "run"

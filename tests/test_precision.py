@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+import hierconn.interpret
 import hierconn.model
 from hierconn.autodiff import Tensor, no_grad
+from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
 from hierconn.losses import LossWeights, total_loss_graph
@@ -98,6 +100,29 @@ def test_eval_copy_is_constant_and_leaves_the_master_untouched():
         assert np.array_equal(copy[name].data, before[name].astype(EVAL_DTYPE))
         assert params[name].data.dtype == np.float64
         assert np.array_equal(params[name].data, before[name])
+
+
+def test_eval_dtype_checkpoint_load_is_passed_on_uncopied(monkeypatch, tmp_path):
+    """``interpret`` loads its weights in ``EVAL_DTYPE``: ``eval_pass`` hands that
+    ``ModelParams`` to every forward as it is, and the traces equal those of a
+    float64 load, which ``eval_pass`` casts."""
+    path = save_checkpoint(tmp_path / "c.bin", CONFIG, spread_params())
+    _, master, _ = load_checkpoint(path)
+    _, loaded, _ = load_checkpoint(path, EVAL_DTYPE)
+    assert loaded.astype(EVAL_DTYPE) is loaded
+    seen = []
+
+    def recording(matrices, params, *args, **kwargs):
+        seen.append(params)
+        return forward_batch(matrices, params, *args, **kwargs)
+
+    monkeypatch.setattr(hierconn.interpret, "forward_batch", recording)
+    records = cohort()
+    traces = cohort_traces(loaded, CONFIG, records)
+    assert seen and all(params is loaded for params in seen)
+    reference = cohort_traces(master, CONFIG, records)
+    for field in ("pool_attention", "graph_attention", "subgraph_tokens"):
+        assert np.array_equal(getattr(traces, field), getattr(reference, field)), field
 
 
 def float64_forward(records, params):

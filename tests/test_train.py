@@ -8,8 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
+import hierconn.checkpoint
 from hierconn.autodiff import Tensor, no_grad
-from hierconn.checkpoint import load_checkpoint, save_checkpoint
+from hierconn.checkpoint import _tensor_index, load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, planted_edge_means, stratified_kfold
 from hierconn.errors import (
     DataError,
@@ -21,7 +22,14 @@ from hierconn.errors import (
     ZeroNormToken,
 )
 from hierconn.losses import LossWeights, total_loss_graph
-from hierconn.model import ModelConfig, ModelParams, forward_batch, init_params
+from hierconn.model import (
+    EVAL_DTYPE,
+    ModelConfig,
+    ModelParams,
+    forward_batch,
+    init_params,
+    param_specs,
+)
 from hierconn.train import (
     OptimizerState,
     TrainConfig,
@@ -477,6 +485,32 @@ class TestCheckpointContainer:
             assert np.array_equal(loaded[name].data, params[name].data)
             assert loaded[name].data.flags.writeable
 
+    @pytest.mark.parametrize("read_slice", [7, hierconn.checkpoint.READ_SLICE],
+                             ids=["slices-of-7", "default-slices"])
+    def test_load_in_a_dtype_is_the_cast_of_the_payload(self, read_slice, tmp_path, monkeypatch):
+        """Read in slices, a float64 load holds the payload's bits and is trainable;
+        an ``EVAL_DTYPE`` load holds the bits of the float64 load's ``flat`` cast to
+        it, as constant tensors, overflow, underflow and signed zeros included."""
+        monkeypatch.setattr(hierconn.checkpoint, "READ_SLICE", read_slice)
+        config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
+        params = init_params(config, 5)
+        params.flat[:5] = [1e39, -1e39, 1e-46, -0.0, 3.0000001]
+        path = save_checkpoint(tmp_path / "c.bin", config, params)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        payload = np.frombuffer(blob, "<f8", offset=16 + header_len)
+        master = load_checkpoint(path)[1]
+        assert master.flat.dtype == np.float64
+        assert np.array_equal(master.flat.view(np.uint64), payload.view(np.uint64))
+        assert all(t.requires_grad for t in master.tensors.values())
+        with np.errstate(over="ignore"):
+            cast = master.flat.astype(EVAL_DTYPE)
+            _, loaded, _ = load_checkpoint(path, EVAL_DTYPE)
+        assert loaded.flat.dtype == EVAL_DTYPE
+        assert np.array_equal(loaded.flat.view(np.uint32), cast.view(np.uint32))
+        assert not any(t.requires_grad for t in loaded.tensors.values())
+        loaded.check_views()
+
     def test_payload_is_every_tensor_packed_in_name_order(self, tmp_path):
         config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
         params = init_params(config, 5)
@@ -531,10 +565,13 @@ class TestCheckpointContainer:
         "defect",
         [
             "short file", "no tensor index", "invalid config", "zero heads", "bool heads",
-            "fractional d", "offset into header",
+            "fractional d", "offset into header", "header length past end of file",
+            "payload past end of file",
         ],
     )
     def test_malformed_container_is_parse_error(self, defect, tmp_path):
+        """Lengths are checked against the file's size before anything that large is
+        read or allocated, so a huge corrupt length is a ParseError, not a MemoryError."""
         from hierconn.errors import ParseError
 
         config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
@@ -542,6 +579,14 @@ class TestCheckpointContainer:
         blob = path.read_bytes()
         if defect == "short file":
             blob = blob[:10]
+        elif defect == "header length past end of file":
+            blob = blob[:8] + struct.pack("<Q", 2**63) + blob[16:]
+        elif defect == "payload past end of file":  # a valid header of a ~10^13-weight model
+            huge = ModelConfig(n=6, d=2**20, heads=2, layers=1, k=3)
+            header = {"config": huge.to_dict(), "meta": {}, "tensors": _tensor_index(
+                {name: shape for name, (shape, _) in param_specs(huge).items()})}
+            text = json.dumps(header, sort_keys=True).encode()
+            blob = blob[:8] + struct.pack("<Q", len(text)) + text
         else:
             (header_len,) = struct.unpack("<Q", blob[8:16])
             header = json.loads(blob[16 : 16 + header_len])
