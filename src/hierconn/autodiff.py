@@ -29,7 +29,10 @@ closed form instead of being chained through primitives:
   gain`` (Ba et al. 2016), ``P * (u - sum(u * P))`` for softmax or the
   support-centred sparsemax Jacobian (Martins & Astudillo 2016) with ``u =
   (g v^T) * mask``, and the GEMMs of each projection. The node keeps the
-  q/k/v projections, ``P``, the merged heads, ``xhat`` and ``std``.
+  q/k/v projections, ``xhat``, ``std`` and the keep-mask; backward rebuilds
+  ``P`` and the merged heads by the forward's own calls, so they have the
+  forward's bits, instead of keeping them (selective recomputation,
+  Korthikanti et al. 2022).
 - ``ffn(x, w1, b1, w2, b2, mask, norm)``: ``dropout(gelu(x @ w1 + b1)) @ w2 +
   b2``, the classifier head, and with ``norm`` the post-norm sublayer
   ``layer_norm(x + ffn(x))``. The first GEMM writes the hidden array, and one
@@ -54,9 +57,10 @@ bits, signed zeros included, as multiplying by the float mask ``keep / (1 -
 p)``, at an eighth of its memory.
 
 Precision: a tensor keeps float32 data as float32 and stores anything else
-as float64, and every op computes in the dtype of its operands. Constants
-that meet tensor data are Python floats or arrays of the data's dtype, never
-float64 numpy scalars, which would promote float32 data to float64.
+as float64, and every op computes in the dtype of its operands. A non-tensor
+operand of tensor arithmetic (a Python number or an array) takes the
+tensor's dtype, and ``backward`` seeds the sweep in the output's dtype, so a
+float32 graph computes and backpropagates in float32.
 
 GELU's Gaussian CDF comes from ``_cdf_slices``, the one kernel behind
 ``Tensor.gelu``, ``ffn`` and ``_normal_cdf``: a rational approximation of
@@ -297,8 +301,15 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a tensor: a Python number or an array takes this tensor's
+        dtype, so a constant never promotes float32 data."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
+
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(g):
@@ -319,13 +330,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(g):
@@ -339,7 +350,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(g):
@@ -353,7 +364,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __matmul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
 
         def backward(g):
@@ -503,7 +514,7 @@ class Tensor:
                 if mark == 1:
                     state[id(node)] = 2
                     order.append(node)
-        self.grad = np.ones_like(self.data, dtype=np.float64)
+        self.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
             backward, grad = node._backward, node.grad
@@ -795,41 +806,50 @@ def attention_sublayer(
     x2, q = project(x, wq, bq)
     kv2, k = project(kv, wk, bk)
     _, v = project(kv, wv, bv)
-    p = _attend(q, k, activation)
-    weights = p if mask is None else _apply_mask(p, mask)
-    merged = _merged_matmul(weights, v, p.shape[:-1] + v.shape[-1:])
-    del weights
-    merged2 = merged.reshape(-1, merged.shape[-1])
-    xhat = merged2 @ wo.data
+
+    def attend():
+        # the probabilities and the merged heads; backward rebuilds both by
+        # these same calls, with the forward's bits, instead of keeping them
+        p = _attend(q, k, activation)
+        weights = p if mask is None else _apply_mask(p, mask)
+        return p, _merged_matmul(weights, v, p.shape[:-1] + v.shape[-1:])
+
+    p, merged = attend()
+    xhat = merged.reshape(-1, merged.shape[-1]) @ wo.data
     xhat += bo.data
     xhat = xhat.reshape(merged.shape)
+    del merged
     xhat += x.data  # the residual, with the bits of x + out
     out, std = _normalize(xhat, gain, bias, eps, keep=_builds_graph(parents))
-    saved = [xhat, std, merged2, q, k, v, p]
+    saved = [xhat, std]
     kv_heads = k.shape
 
     def backward(g):
-        # each saved array goes after its last read, as the chain's sweep let go
-        # of its nodes one by one
-        xhat, std, merged2, q, k, v, p = saved
+        # each saved or rebuilt array goes after its last read, as the chain's
+        # sweep let go of its nodes one by one
+        nonlocal q, k, v
+        xhat, std = saved
         saved.clear()
         gs = _normalize_backward(g, xhat, std, gain, bias)
         del xhat
         if x.requires_grad:
             x._accumulate(_unbroadcast(gs, x.shape))
-        gs = gs.reshape(merged2.shape)
+        gs = gs.reshape(-1, gs.shape[-1])
+        p, merged = attend()
         if wo.requires_grad:
-            wo._accumulate(merged2.T @ gs)
+            wo._accumulate(merged.reshape(gs.shape).T @ gs)
+        del merged
         if bo.requires_grad:
             bo._accumulate(gs.sum(axis=0))
         gm = (gs @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(1, 2)
-        del merged2, gs
+        del gs
         ds = gm @ v.swapaxes(-1, -2)
-        del v
+        v = None
         ds = _attend_backward(ds, p, activation, mask, q.shape[-1])
         _linear_backward(x, x2, wq, bq, _merged_matmul(ds, k, q.shape).reshape(x2.shape))
         dk = _merged_matmul(ds.swapaxes(-1, -2), q, kv_heads)
-        del ds, q, k
+        del ds
+        q = k = None
         _linear_backward(kv, kv2, wk, bk, dk.reshape(kv2.shape))
         del dk
         weights = p if mask is None else _apply_mask(p, mask)

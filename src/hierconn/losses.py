@@ -1,6 +1,7 @@
 """Objective terms: classification, auxiliary, token orthogonality, and
 temperature-scaled consistency distillation, plus the sigmoid ramp that
-schedules the consistency weight."""
+schedules the consistency weight. Targets, constants and the distillation
+teacher take the logits' dtype, so a float32 graph stays float32."""
 
 from __future__ import annotations
 
@@ -42,12 +43,13 @@ class LossBreakdown:
     total: float
 
 
-def _target_matrix(target, class_count: int, lead_shape: tuple[int, ...]) -> np.ndarray:
-    """Normalize a class index or soft-label array to shape lead_shape + (C,)."""
+def _target_matrix(target, class_count: int, lead_shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Normalize a class index or soft-label array to shape lead_shape + (C,), in
+    ``dtype``."""
     if isinstance(target, (int, np.integer)):
         if not 0 <= int(target) < class_count:
             raise InvalidTarget(f"class index {target} outside [0, {class_count})")
-        row = np.zeros(class_count)
+        row = np.zeros(class_count, dtype)
         row[int(target)] = 1.0
         return np.broadcast_to(row, lead_shape + (class_count,))
     target = np.asarray(target, dtype=np.float64)
@@ -57,7 +59,7 @@ def _target_matrix(target, class_count: int, lead_shape: tuple[int, ...]) -> np.
         )
     if np.any(target < 0) or np.any(np.abs(target.sum(axis=-1) - 1.0) > 1e-6):
         raise InvalidTarget("soft target rows must be nonnegative and sum to 1")
-    return np.broadcast_to(target, lead_shape + (class_count,))
+    return np.broadcast_to(target.astype(dtype, copy=False), lead_shape + (class_count,))
 
 
 def classification_loss(logits, target) -> Tensor:
@@ -66,7 +68,9 @@ def classification_loss(logits, target) -> Tensor:
     Reduces to the mean over any leading (batch) axes.
     """
     logits = as_tensor(logits)
-    y = Tensor(_target_matrix(target, logits.shape[-1], tuple(logits.shape[:-1])))
+    y = Tensor(
+        _target_matrix(target, logits.shape[-1], tuple(logits.shape[:-1]), logits.data.dtype)
+    )
     # -sum y log softmax = lse(z) - sum y*z  (soft rows sum to 1)
     per_row = logsumexp(logits) - (logits * y).sum(axis=-1, keepdims=True)
     return per_row.mean()
@@ -90,7 +94,7 @@ def orthogonality_loss(subgraph_tokens) -> Tensor:
         raise ZeroNormToken(int(zero[-2][0]))
     unit = x / norms_sq.sqrt()
     gram = unit @ unit.swapaxes(-1, -2)
-    eye = Tensor(np.eye(k))
+    eye = Tensor(np.eye(k, dtype=x.data.dtype))
     diag = (gram * eye).sum(axis=-1, keepdims=True)
     per_row = logsumexp(gram) - diag
     return per_row.mean()
@@ -105,7 +109,7 @@ def hierarchical_consistency_loss(z_n, z_g, tau: float) -> Tensor:
     if tau <= 0:
         raise ValueError("tau must be > 0")
     z_n = as_tensor(z_n)
-    teacher = np.asarray(z_g.data if isinstance(z_g, Tensor) else z_g, dtype=np.float64)
+    teacher = np.asarray(z_g.data if isinstance(z_g, Tensor) else z_g, dtype=z_n.data.dtype)
     if teacher.shape != tuple(z_n.shape):
         raise ShapeMismatch(f"student shape {z_n.shape} != teacher shape {teacher.shape}")
     # same ops as the student path so equal logits cancel exactly

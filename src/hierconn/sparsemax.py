@@ -97,7 +97,9 @@ def sparsemax_rows_backward(probabilities: np.ndarray, upstream: np.ndarray) -> 
             f"{probabilities.shape}"
         )
     mask = probabilities > 0.0
-    count = mask.sum(axis=-1, keepdims=True)
+    # the support size in the gradient's precision: an int64 divisor would
+    # promote float32 to float64
+    count = mask.sum(axis=-1, keepdims=True).astype(upstream.dtype)
     masked_sum = np.sum(upstream * mask, axis=-1, keepdims=True)
     # every row of a sparsemax output has nonempty support
     return mask * (upstream - masked_sum / count)

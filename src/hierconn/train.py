@@ -99,6 +99,13 @@ def cosine_lr(step: int, total_steps: int, lr: float, lr_min: float) -> float:
     return lr_min + 0.5 * (lr - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+# parameters per optimizer slice: the slice of the parameters, both moments
+# and two scratch arrays stay in cache while the update's passes run over them
+# (at 9.36M weights on a 2-vCPU Xeon a step took 85-89 ms at 16384, 94-115 ms
+# at 4096, 8192 or 65536, and 175-193 ms as whole-array passes)
+STEP_SLICE = 16384
+
+
 def optimizer_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
@@ -110,7 +117,11 @@ def optimizer_step(
 
     Weight decay multiplies parameters directly (never enters the moment
     estimates); moments are bias-corrected. Raises NonFiniteGradient before
-    touching any state so a failed batch can be skipped cleanly.
+    touching any state so a failed batch can be skipped cleanly. The update's
+    elementwise passes run over one slice of at most ``STEP_SLICE`` parameters
+    of a tensor at a time, reading its gradient where it is, so no params-sized
+    temporary exists; each element sees the operations of whole-array passes in
+    their order, so the result has their bits.
     """
     params.check_views()
     names = params.names()
@@ -124,31 +135,46 @@ def optimizer_step(
             )
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteGradient(f"non-finite gradient in {name}")
-    g = np.concatenate([grads[name].ravel() for name in names])
+    clip = None
     if cfg.grad_clip_norm is not None:
         norm = math.sqrt(sum(float(np.sum(grads[name] * grads[name])) for name in names))
         if norm > cfg.grad_clip_norm:
-            g *= cfg.grad_clip_norm / norm
+            clip = cfg.grad_clip_norm / norm
     state.step += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
-    # in-place passes in the operation order of p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-    if cfg.weight_decay:
-        params.flat *= 1.0 - lr_t * cfg.weight_decay
-    scratch = (1.0 - b1) * g
-    state.m *= b1
-    state.m += scratch
-    state.v *= b2
-    g *= g
-    g *= 1.0 - b2
-    state.v += g
-    step = np.divide(state.m, bias1, out=g)
-    step *= lr_t
-    denom = np.sqrt(np.divide(state.v, bias2, out=scratch), out=scratch)
-    denom += cfg.adam_eps
-    step /= denom
-    params.flat -= step
+    decay = 1.0 - lr_t * cfg.weight_decay
+    buffer, scratch = (np.empty(min(params.flat.size, STEP_SLICE), params.flat.dtype)
+                       for _ in range(2))
+    at = 0  # where the current tensor starts in ``flat``
+    for name in names:
+        grad = grads[name].reshape(-1)
+        for lo in range(0, grad.size, STEP_SLICE):
+            g = buffer[: min(STEP_SLICE, grad.size - lo)]
+            np.copyto(g, grad[lo : lo + g.size])
+            part = slice(at + lo, at + lo + g.size)
+            p, m, v, s = params.flat[part], state.m[part], state.v[part], scratch[: g.size]
+            # in-place passes in the operation order of
+            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            if clip is not None:
+                g *= clip
+            if cfg.weight_decay:
+                p *= decay
+            np.multiply(g, 1.0 - b1, out=s)
+            m *= b1
+            m += s
+            v *= b2
+            g *= g
+            g *= 1.0 - b2
+            v += g
+            step = np.divide(m, bias1, out=g)
+            step *= lr_t
+            denom = np.sqrt(np.divide(v, bias2, out=s), out=s)
+            denom += cfg.adam_eps
+            step /= denom
+            p -= step
+        at += grad.size
 
 
 def collect_gradients(params: ModelParams) -> dict[str, np.ndarray]:

@@ -296,7 +296,7 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
     mask = rng.random((batch, heads, tokens, tokens)) >= 0.1, 1.0 / 0.9
     act, probs = batch * tokens * d * 8, batch * heads * tokens * tokens * 8
 
-    def traced(build_graph):
+    def traced(build_graph, keep_probs=True):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -304,6 +304,8 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
                 out, p = attention_sublayer(
                     x, x, weights[:8], (*weights[8:], LN_EPS), heads, "softmax", mask
                 )
+            if not keep_probs:
+                del p
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -314,9 +316,13 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
     assert act + probs <= held < act + probs + act // 8, held  # the output and probabilities
     out, held = traced(build_graph=True)
     assert out.requires_grad
-    # also q, k, v, the merged heads and x-hat; not the output projection or the
-    # residual sum, each one more (B, T, d) array
-    assert 6 * act + probs <= held < 6 * act + probs + act // 2, held
+    # also q, k, v and x-hat; not the merged heads or the probabilities, which
+    # backward rebuilds, nor the output projection or the residual sum
+    assert 5 * act + probs <= held < 5 * act + probs + act // 2, held
+    # a caller that drops the probabilities leaves the node holding none
+    out, held = traced(build_graph=True, keep_probs=False)
+    assert out.requires_grad
+    assert 5 * act <= held < 5 * act + act // 2, held
 
 
 def graph_nodes(*roots):

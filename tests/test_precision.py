@@ -5,7 +5,8 @@ A forward computes in the dtype of the parameters it is given. Eval callers
 fused op of their forwards must produce ``EVAL_DTYPE``: one float64 constant
 anywhere would silently promote the rest of the forward. A training step on
 the float64 master parameters must stay float64 throughout, gradients
-included. The eval results are returned in float64 and agree with a float64
+included, and a training graph built on float32 parameters backpropagates in
+float32. The eval results are returned in float64 and agree with a float64
 forward to 1e-5.
 """
 
@@ -20,7 +21,8 @@ from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
 from hierconn.losses import LossWeights, total_loss_graph
-from hierconn.model import EVAL_DTYPE, ModelConfig, forward_batch, init_params
+from hierconn.model import EVAL_DTYPE, ModelConfig, ModelParams, forward_batch, init_params
+from hierconn.sparsemax import sparsemax_rows, sparsemax_rows_backward
 from hierconn.train import predict_scores
 
 CONFIG = ModelConfig(n=16, d=16, heads=4, layers=2, k=4, dropout=0.1)
@@ -89,6 +91,42 @@ def test_training_step_stays_float64(recorded):
     for name in params.names():
         assert params[name].data.dtype == np.float64, name
         assert params[name].grad.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: t + 1.5, lambda t: 1.5 + t, lambda t: t - 1.5, lambda t: 1.5 - t,
+    lambda t: t * 0.5, lambda t: 0.5 * t, lambda t: t / 3.0,
+    lambda t: t * np.full(3, 0.5), lambda t: t @ np.ones((3, 2)),
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "mul-array", "matmul-array"])
+def test_constants_take_the_dtype_of_float32_tensor_data(op):
+    t = Tensor(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    out = op(t).sum()
+    assert out.data.dtype == np.float32
+    out.backward()
+    assert t.grad.dtype == np.float32
+
+
+def test_sparsemax_backward_keeps_the_gradient_dtype():
+    p = sparsemax_rows(np.array([[0.9, 0.2, 0.1], [0.3, 0.3, -2.0]], np.float32))
+    assert sparsemax_rows_backward(p, np.ones_like(p)).dtype == np.float32
+
+
+def test_float32_training_step_backpropagates_in_float32():
+    """A train-mode forward and backward on float32 parameters, with float64
+    one-hot targets, gives every parameter a float32 gradient: no constant, seed,
+    support count, target or teacher promotes the graph to float64."""
+    config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3, dropout=0.1)
+    master = init_params(config, 3)
+    shapes = {name: master[name].shape for name in master.names()}
+    params = ModelParams(shapes, master.flat.astype(np.float32))
+    rng = np.random.default_rng(0)
+    matrices = rng.uniform(-1.0, 1.0, size=(6, config.n, config.n))
+    out = forward_batch(matrices, params, config, mode="train", rng=np.random.default_rng(1))
+    total, _ = total_loss_graph(out, np.eye(2)[[0, 1, 0, 1, 1, 0]], 0, 10, LossWeights())
+    assert total.data.dtype == np.float32
+    total.backward()
+    promoted = [name for name in params.names() if params[name].grad.dtype != np.float32]
+    assert len(params.names()) == 90 and promoted == []
 
 
 def test_eval_copy_is_constant_and_leaves_the_master_untouched():

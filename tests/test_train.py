@@ -3,12 +3,14 @@
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import hierconn.checkpoint
+import hierconn.train
 from hierconn.autodiff import Tensor, no_grad
 from hierconn.checkpoint import _tensor_index, load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, planted_edge_means, stratified_kfold
@@ -233,6 +235,103 @@ class TestFlatParameterBuffer:
         assert_views_flat(params)
         np.testing.assert_array_equal(params.flat, seen[0])
         assert not np.array_equal(params.flat, seen[-1])
+
+
+def params_wide_step(flat, grads, m, v, step, lr_t, cfg):
+    """The update as whole-array passes over ``flat``, the moments and one
+    concatenated gradient: the oracle the sliced ``optimizer_step`` must match
+    bit for bit."""
+    names = sorted(grads)
+    g = np.concatenate([grads[name].ravel() for name in names])
+    if cfg.grad_clip_norm is not None:
+        norm = math.sqrt(sum(float(np.sum(grads[name] * grads[name])) for name in names))
+        if norm > cfg.grad_clip_norm:
+            g *= cfg.grad_clip_norm / norm
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    if cfg.weight_decay:
+        flat *= 1.0 - lr_t * cfg.weight_decay
+    scratch = (1.0 - b1) * g
+    m *= b1
+    m += scratch
+    v *= b2
+    g *= g
+    g *= 1.0 - b2
+    v += g
+    update = np.divide(m, 1.0 - b1**step, out=g)
+    update *= lr_t
+    denom = np.sqrt(np.divide(v, 1.0 - b2**step, out=scratch), out=scratch)
+    denom += cfg.adam_eps
+    update /= denom
+    flat -= update
+
+
+def random_grads(params, rng, scale=1.0):
+    return {name: rng.normal(size=params[name].shape) * scale for name in params.names()}
+
+
+class TestSlicedOptimizerStep:
+    """``optimizer_step`` runs its passes over slices of at most ``STEP_SLICE``
+    parameters and must give the whole-array passes' bits, allocating no
+    params-sized array."""
+
+    @pytest.mark.parametrize("step_slice", [7, hierconn.train.STEP_SLICE],
+                             ids=["slices-of-7", "default-slices"])
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(weight_decay=0.0),
+        TrainConfig(weight_decay=0.01),
+        TrainConfig(weight_decay=0.0, grad_clip_norm=0.05),
+        TrainConfig(weight_decay=0.01, grad_clip_norm=1e6),  # set, never reached
+        TrainConfig(weight_decay=0.01, grad_clip_norm=0.05),
+    ], ids=["plain", "decayed", "clipped", "clip-unreached-decayed", "clipped-decayed"])
+    def test_matches_the_params_wide_update_bit_for_bit(self, cfg, step_slice, monkeypatch):
+        monkeypatch.setattr(hierconn.train, "STEP_SLICE", step_slice)
+        params = init_params(FLAT_CONFIG, 5)
+        flat = params.flat.copy()
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        state = OptimizerState(params)
+        rng = np.random.default_rng(1)
+        for step in range(1, 6):
+            grads = random_grads(params, rng, scale=0.1 * step)
+            optimizer_step(params, grads, state, 1e-3 / step, cfg)
+            params_wide_step(flat, grads, m, v, step, 1e-3 / step, cfg)
+            assert state.step == step
+            assert_views_flat(params)
+            for got, expect in ((params.flat, flat), (state.m, m), (state.v, v)):
+                np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("grad_clip_norm", [None, 0.05])
+    def test_one_step_allocates_under_a_quarter_of_the_parameters(self, grad_clip_norm):
+        params = init_params(ModelConfig(n=16, d=96, heads=2, layers=2, k=3), 5)
+        grads = random_grads(params, np.random.default_rng(2))
+        state = OptimizerState(params)
+        cfg = TrainConfig(weight_decay=0.01, grad_clip_norm=grad_clip_norm)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            optimizer_step(params, grads, state, 1e-3, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert state.step == 1
+        assert peak < params.flat.nbytes // 4, (peak, params.flat.nbytes)
+
+    def test_nan_in_the_last_slice_leaves_every_state_unchanged(self, monkeypatch):
+        monkeypatch.setattr(hierconn.train, "STEP_SLICE", 7)
+        params = init_params(FLAT_CONFIG, 5)
+        state = OptimizerState(params)
+        rng = np.random.default_rng(3)
+        cfg = TrainConfig(weight_decay=0.01, grad_clip_norm=0.05)
+        optimizer_step(params, random_grads(params, rng), state, 1e-3, cfg)  # moments nonzero
+        before = [a.copy() for a in (params.flat, state.m, state.v)]
+        grads = random_grads(params, rng)
+        last = params.names()[-1]
+        assert grads[last].size > 7  # the tensor spans several slices
+        grads[last].reshape(-1)[-1] = np.nan
+        with pytest.raises(NonFiniteGradient, match=last):
+            optimizer_step(params, grads, state, 1e-3, cfg)
+        assert state.step == 1
+        for got, expect in zip((params.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 def tiny_dataset(seed=0, subjects=24, n=12):
