@@ -21,18 +21,28 @@ closed form instead of being chained through primitives:
   into one GEMM; backward is ``g2 @ w^T``, ``x2^T @ g2`` and the row sum of
   ``g2`` over the flattened ``(rows, features)`` views. It embeds the nodes.
 - ``attention_sublayer``: ``layer_norm(x + attend(x, kv) @ wo + bo)``. The
-  q/k/v projections split into heads as views; ``P = act(q k^T / sqrt(d))``
-  (softmax or sparsemax), times an optional dropout ``mask``, multiplies ``v``
-  straight into merged-head layout (``np.matmul`` with ``out=`` a head-major
-  view, the bits of multiplying and then merging). Backward is the layer-norm
-  gradient ``(gx - mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g *
-  gain`` (Ba et al. 2016), ``P * (u - sum(u * P))`` for softmax or the
-  support-centred sparsemax Jacobian (Martins & Astudillo 2016) with ``u =
-  (g v^T) * mask``, and the GEMMs of each projection. The node keeps the
-  q/k/v projections, ``xhat``, ``std`` and the keep-mask; backward rebuilds
-  ``P`` and the merged heads by the forward's own calls, so they have the
-  forward's bits, instead of keeping them (selective recomputation,
-  Korthikanti et al. 2022).
+  query projection splits into heads as a view; ``P = act(q k^T / sqrt(d_h))``
+  (softmax or sparsemax), times an optional dropout ``mask``, multiplies the
+  values straight into merged-head layout (``np.matmul`` with ``out=`` a
+  head-major view, the bits of multiplying and then merging). No score adds
+  the key bias ``bk``: ``q . bk`` is constant along a score row, which
+  neither activation sees, so ``bk`` stays a parameter (and in checkpoints)
+  with an exact zero gradient. The shape picks the keys and values. With
+  ``heads * Tq >= Tk`` (node self-attention) ``k`` and ``v`` are projections
+  of ``kv``. With fewer head-query rows than key rows (pool and graph
+  attention) they are folded away: the scores are ``(q_h Wk_h^T) kv^T`` and
+  head h reads ``(W_h kv) Wv_h + rowsum(W_h) bv_h``, ``W = P * mask``, GEMMs
+  of (B, heads * Tq, .) rows, and ``kv`` takes one gradient, ``[dS | W]^T @
+  [q~ ; dC]`` (the absorbed projection of latent-query pooling: Lee et al.
+  2019, DeepSeek-AI 2024). Backward is the layer-norm gradient ``(gx -
+  mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g * gain`` (Ba et
+  al. 2016), ``P * (u - sum(u * P))`` for softmax or the support-centred
+  sparsemax Jacobian (Martins & Astudillo 2016) with ``u`` the gradient at
+  ``P`` times the mask, and the GEMMs of each projection. The node keeps
+  the query projection (and, projecting, ``k`` and ``v``), ``xhat``, ``std``
+  and the keep-mask; backward rebuilds ``P`` and the merged heads by the
+  forward's own calls, so they have the forward's bits, instead of keeping
+  them (selective recomputation, Korthikanti et al. 2022).
 - ``ffn(x, w1, b1, w2, b2, mask, norm)``: ``dropout(gelu(x @ w1 + b1)) @ w2 +
   b2``, the classifier head, and with ``norm`` the post-norm sublayer
   ``layer_norm(x + ffn(x))``. The first GEMM writes the hidden array, and one
@@ -44,8 +54,9 @@ closed form instead of being chained through primitives:
 
 A sublayer op runs the numpy operations of the chain of nodes it replaced,
 in their order, and hands each input its gradient contributions in the
-order that chain's sweep did, so values, gradients and trained artifacts
-keep the chain's bits; its backward lets go of each saved array after the
+order that chain's sweep did, so values and gradients keep the chain's
+bits, except the folded attention, which computes other GEMMs and matches
+its chain to rounding; its backward lets go of each saved array after the
 array's last read. The chain's ``layer_norm`` and ``attention`` (which share
 their kernels with the sublayer ops), ``Tensor.gelu`` and ``dropout`` stay as
 the tests' oracles; the model calls none of them.
@@ -557,14 +568,16 @@ def logsumexp(x: Tensor) -> Tensor:
     return (x - shift).exp().sum(axis=-1, keepdims=True).log() + shift
 
 
-def _linear_backward(x: Tensor, x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> None:
-    """Accumulate the gradients of ``x2 @ w + b``, ``x2`` the (rows, features)
-    view of ``x``, from ``g2`` at its (rows, out) output."""
+def _linear_backward(
+    x: Tensor, x2: np.ndarray, w: Tensor, b: Tensor | None, g2: np.ndarray,
+) -> None:
+    """Accumulate the gradients of ``x2 @ w + b`` (of ``x2 @ w`` if ``b`` is None),
+    ``x2`` the (rows, features) view of ``x``, from ``g2`` at its (rows, out) output."""
     if x.requires_grad:
         x._accumulate((g2 @ w.data.T).reshape(x.shape))
     if w.requires_grad:
         w._accumulate(x2.T @ g2)
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         b._accumulate(g2.sum(axis=0))
 
 
@@ -712,10 +725,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attend(q: np.ndarray, k: np.ndarray, activation: str) -> np.ndarray:
-    """The probabilities ``act(q k^T / sqrt(d))`` over the last axis of head stacks."""
+def _attend(q: np.ndarray, k: np.ndarray, activation: str, d_h: int) -> np.ndarray:
+    """The probabilities ``act(q k^T / sqrt(d_h))`` over the last axis of head stacks."""
     scores = q @ k.swapaxes(-1, -2)
-    scores *= 1.0 / math.sqrt(q.shape[-1])
+    scores *= 1.0 / math.sqrt(d_h)
     if activation == "softmax":
         return softmax_rows(scores)
     if activation == "sparsemax":
@@ -748,7 +761,7 @@ def attention(
     their broadcast shape. Returns the output and the probabilities before
     the mask.
     """
-    p = _attend(q.data, k.data, activation)
+    p = _attend(q.data, k.data, activation, q.shape[-1])
     weights = p if mask is None else _apply_mask(p, mask)
 
     def backward(g):
@@ -779,6 +792,16 @@ def _merged_matmul(a: np.ndarray, b: np.ndarray, heads_shape) -> np.ndarray:
     return out.reshape(batch, t, heads * d_h)
 
 
+def _head_weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (m, H * n) gradient of a weight whose head h maps ``b``'s rows to ``a``'s
+    (or back): the sum over batch and tokens of ``a_h^T b_h``, for head stacks ``a``
+    (B, H, T, m) and ``b`` (B, H, T, n); head h fills columns h n to (h + 1) n."""
+    heads, m, n = a.shape[1], a.shape[-1], b.shape[-1]
+    a2 = a.transpose(1, 3, 0, 2).reshape(heads, m, -1)
+    b2 = b.swapaxes(0, 1).reshape(heads, -1, n)
+    return (a2 @ b2).swapaxes(0, 1).reshape(m, heads * n)
+
+
 def attention_sublayer(
     x: Tensor, kv: Tensor, projections: tuple[Tensor, ...], norm: tuple[Tensor, Tensor, float],
     heads: int, activation: str, mask: tuple[np.ndarray, float] | None = None,
@@ -788,33 +811,62 @@ def attention_sublayer(
     ``x`` (B or 1, Tq, d) holds the queries and the residual, ``kv`` (B, Tk, d)
     the keys and values; ``projections`` is ``(wq, bq, wk, bk, wv, bv, wo, bo)``,
     ``norm`` is ``(gain, bias, eps)``, and ``activation`` and the (B, heads, Tq,
-    Tk) ``mask`` are ``attention``'s. Values and gradients have the bits of the
-    chain ``linear``, split heads, ``attention``, merge, ``linear``, ``+``,
-    ``layer_norm``, whose sweep handed ``x`` its gradients from the residual,
+    Tk) ``mask`` are ``attention``'s. The module docstring gives the shape rule
+    that folds keys and values into the queries, and why no score adds ``bk``.
+    Projecting, values and gradients have the bits of the chain ``linear``,
+    split heads, ``attention``, merge, ``linear``, ``+``, ``layer_norm`` with a
+    zero key bias, whose sweep handed ``x`` its gradients from the residual,
     the queries, the keys and the values in that order. Returns the output and
     the per-head probabilities before the mask."""
     wq, bq, wk, bk, wv, bv, wo, bo = projections
     gain, bias, eps = norm
     parents = (x, kv, *projections, gain, bias)
+    d, t_q, t_k = x.shape[-1], x.shape[-2], kv.shape[-2]
+    x2 = x.data.reshape(-1, d)
 
-    def project(src, w, b):
-        src2 = src.data.reshape(-1, src.shape[-1])
-        out = src2 @ w.data
-        out += b.data
-        return src2, out.reshape(src.shape[:-1] + (heads, -1)).swapaxes(1, 2)
+    def split(rows, src):  # (rows, d) -> (B, heads, T, d_h) view
+        return rows.reshape(src.shape[:-1] + (heads, -1)).swapaxes(1, 2)
 
-    x2, q = project(x, wq, bq)
-    kv2, k = project(kv, wk, bk)
-    _, v = project(kv, wv, bv)
+    q = x2 @ wq.data
+    q += bq.data
+    q = split(q, x)
+    d_h = q.shape[-1]
+    fold = heads * t_q < t_k
+    if fold:
+        batch = np.broadcast_shapes(x.shape[:-2], kv.shape[:-2])
+        rows = heads * t_q
+        heads_shape = batch + (heads, t_q, d_h)
+        wk_t = wk.data.reshape(d, heads, d_h).transpose(1, 2, 0)  # Wk_h^T, (heads, d_h, d)
+        wv_h = wv.data.reshape(d, heads, d_h).swapaxes(0, 1)  # Wv_h, (heads, d, d_h)
+        bv_h = bv.data.reshape(heads, 1, d_h)
 
-    def attend():
-        # the probabilities and the merged heads; backward rebuilds both by
-        # these same calls, with the forward's bits, instead of keeping them
-        p = _attend(q, k, activation)
-        weights = p if mask is None else _apply_mask(p, mask)
-        return p, _merged_matmul(weights, v, p.shape[:-1] + v.shape[-1:])
+        def attend():
+            # P, W, the merged heads, W kv and q~; backward rebuilds them by these
+            # same calls, with the forward's bits, instead of keeping them
+            qt = q @ wk_t
+            p = _attend(qt.reshape(-1, rows, d), kv.data, activation, d_h)
+            p = p.reshape(batch + (heads, t_q, t_k))
+            weights = p if mask is None else _apply_mask(p, mask)
+            pooled = (weights.reshape(batch + (rows, t_k)) @ kv.data).reshape(batch + (heads, t_q, d))
+            merged = _merged_matmul(pooled, wv_h, heads_shape)
+            by_head = merged.reshape(batch + (t_q, heads, d_h))
+            by_head += (weights.sum(axis=-1)[..., None] * bv_h).swapaxes(-2, -3)
+            return p, merged, (weights, pooled, qt)
+    else:
+        kv2 = kv.data.reshape(-1, d)
+        k = split(kv2 @ wk.data, kv)
+        v = kv2 @ wv.data
+        v += bv.data
+        v = split(v, kv)
+        kv_heads = k.shape
 
-    p, merged = attend()
+        def attend():
+            # the probabilities and the merged heads, rebuilt by backward
+            p = _attend(q, k, activation, d_h)
+            weights = p if mask is None else _apply_mask(p, mask)
+            return p, _merged_matmul(weights, v, p.shape[:-1] + v.shape[-1:]), None
+
+    p, merged = attend()[:2]
     xhat = merged.reshape(-1, merged.shape[-1]) @ wo.data
     xhat += bo.data
     xhat = xhat.reshape(merged.shape)
@@ -822,7 +874,6 @@ def attention_sublayer(
     xhat += x.data  # the residual, with the bits of x + out
     out, std = _normalize(xhat, gain, bias, eps, keep=_builds_graph(parents))
     saved = [xhat, std]
-    kv_heads = k.shape
 
     def backward(g):
         # each saved or rebuilt array goes after its last read, as the chain's
@@ -835,7 +886,7 @@ def attention_sublayer(
         if x.requires_grad:
             x._accumulate(_unbroadcast(gs, x.shape))
         gs = gs.reshape(-1, gs.shape[-1])
-        p, merged = attend()
+        p, merged, rebuilt = attend()
         if wo.requires_grad:
             wo._accumulate(merged.reshape(gs.shape).T @ gs)
         del merged
@@ -843,19 +894,53 @@ def attention_sublayer(
             bo._accumulate(gs.sum(axis=0))
         gm = (gs @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(1, 2)
         del gs
-        ds = gm @ v.swapaxes(-1, -2)
-        v = None
-        ds = _attend_backward(ds, p, activation, mask, q.shape[-1])
-        _linear_backward(x, x2, wq, bq, _merged_matmul(ds, k, q.shape).reshape(x2.shape))
-        dk = _merged_matmul(ds.swapaxes(-1, -2), q, kv_heads)
-        del ds
-        q = k = None
-        _linear_backward(kv, kv2, wk, bk, dk.reshape(kv2.shape))
-        del dk
-        weights = p if mask is None else _apply_mask(p, mask)
-        del p
-        dv = _merged_matmul(weights.swapaxes(-1, -2), gm, kv_heads)
-        del weights, gm
-        _linear_backward(kv, kv2, wv, bv, dv.reshape(kv2.shape))
+        if bk.requires_grad:
+            bk._accumulate(np.zeros_like(bk.data))
+        if not fold:
+            ds = gm @ v.swapaxes(-1, -2)
+            v = None
+            ds = _attend_backward(ds, p, activation, mask, d_h)
+            _linear_backward(x, x2, wq, bq, _merged_matmul(ds, k, q.shape).reshape(x2.shape))
+            dk = _merged_matmul(ds.swapaxes(-1, -2), q, k.shape)
+            del ds
+            q = k = None
+            _linear_backward(kv, kv2, wk, None, dk.reshape(kv2.shape))
+            del dk
+            weights = p if mask is None else _apply_mask(p, mask)
+            del p
+            dv = _merged_matmul(weights.swapaxes(-1, -2), gm, kv_heads)
+            del weights, gm
+            _linear_backward(kv, kv2, wv, bv, dv.reshape(kv2.shape))
+            return
+        weights, pooled, qt = rebuilt
+        del rebuilt
+        if wv.requires_grad:
+            wv._accumulate(_head_weight_grad(pooled, gm))
+        del pooled
+        if bv.requires_grad:
+            bv._accumulate((weights.sum(axis=-1)[..., None] * gm).sum(axis=(0, 2)).reshape(-1))
+        # the rows [q~ ; dC] of kv's gradient GEMM, dC written in place
+        stacked = np.empty(batch + (2, heads, t_q, d), q.dtype)
+        stacked[:, 0] = qt
+        np.matmul(gm, wv_h.swapaxes(-1, -2), out=stacked[:, 1])
+        du = (stacked[:, 1].reshape(batch + (rows, d)) @ kv.data.swapaxes(-1, -2)).reshape(p.shape)
+        du += (gm * bv_h).sum(axis=-1)[..., None]  # through rowsum(W)
+        del gm
+        ds = _attend_backward(du, p, activation, mask, d_h).reshape(batch + (rows, t_k))
+        del du, p
+        dqt = _unbroadcast(ds @ kv.data, qt.shape[:-3] + (rows, d)).reshape(qt.shape)
+        del qt
+        if kv.requires_grad:
+            ds = np.concatenate([ds, weights.reshape(ds.shape)], axis=-2)  # [dS | W]
+            del weights
+            kv._accumulate(_unbroadcast(
+                ds.swapaxes(-1, -2) @ stacked.reshape(batch + (2 * rows, d)), kv.shape
+            ))
+        del ds, stacked
+        if wk.requires_grad:
+            wk._accumulate(_head_weight_grad(dqt, q))
+        dq = _merged_matmul(dqt, wk_t.swapaxes(-1, -2), q.shape)
+        del dqt
+        _linear_backward(x, x2, wq, bq, dq.reshape(x2.shape))
 
     return Tensor._make(out, parents, backward), p

@@ -27,8 +27,10 @@ from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 LN_EPS = 1e-5
 INIT_STD = 0.02
 # eval-mode forwards over a set of subjects (scoring, interpretation) run this
-# many subjects at a time, so their memory does not grow with the set; a
-# subject's outputs do not depend on which others share its batch
+# many subjects at a time, so their memory does not grow with the set; full
+# chunks have the bits of a whole-batch forward, and a shorter last chunk (not
+# padded) matches it to float32 rounding, since BLAS may block GEMMs of fewer
+# rows differently
 EVAL_CHUNK = 16
 # eval-mode forwards compute in single precision; their results are cast back
 # to float64 where they leave the forward

@@ -1,9 +1,12 @@
 """Eval-mode inference runs in fixed chunks of ``EVAL_CHUNK`` subjects.
 
-``predict_scores`` and ``cohort_traces`` must return exactly what one
-whole-batch eval forward in ``EVAL_DTYPE`` returns, and their memory must not
-grow with the number of subjects. A checkpoint loads in fixed slices, so its
-memory is the parameters plus one slice.
+``predict_scores`` and ``cohort_traces`` return what one whole-batch eval
+forward in ``EVAL_DTYPE`` returns: bit for bit for the subjects of full chunks,
+and to float32 rounding for those of a shorter final chunk, whose GEMMs have
+fewer rows and may be blocked differently (at the small widths below they also
+match bit for bit). Their memory must not grow with the number of subjects. A
+checkpoint loads in fixed slices, so its memory is the parameters plus one
+slice.
 """
 
 import math
@@ -17,7 +20,7 @@ import hierconn.interpret
 from hierconn.autodiff import no_grad
 from hierconn.checkpoint import READ_SLICE, load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
-from hierconn.interpret import cohort_traces
+from hierconn.interpret import cohort_traces, eval_pass
 from hierconn.model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, forward_batch, init_params
 from hierconn.train import predict_scores
 
@@ -65,6 +68,35 @@ def test_cohort_traces_equal_whole_batch_forward(setup, size):
     assert np.array_equal(traces.pool_attention, out.trace.node_to_subgraph[-1])
     assert np.array_equal(traces.graph_attention, out.trace.subgraph_to_graph)
     assert np.array_equal(traces.subgraph_tokens, out.subgraph_tokens.data)
+
+
+@pytest.fixture(scope="module")
+def reference_model():
+    config = ModelConfig(n=116, d=384, heads=8, layers=2, k=8)
+    return config, init_params(config, 9)
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3, 5])
+def test_chunks_at_reference_widths_match_a_whole_batch_forward(reference_model, tail):
+    # full chunks have a whole-batch forward's bits; a short final chunk (not
+    # padded) matches it to float32 rounding
+    config, params = reference_model
+    rng = np.random.default_rng(tail)
+    matrices = rng.uniform(-1.0, 1.0, size=(2 * EVAL_CHUNK + tail, config.n, config.n))
+
+    def read(out):
+        return (out.z_g.data, out.z_n.data, out.node_tokens.data, out.subgraph_tokens.data,
+                out.graph_token.data, out.trace.node_to_subgraph[-1], out.trace.subgraph_to_graph)
+
+    chunks = [np.concatenate(parts) for parts in zip(*eval_pass(matrices, params, config, read))]
+    with no_grad():
+        whole = read(forward_batch(matrices, params.astype(EVAL_DTYPE), config, mode="eval"))
+    full = 2 * EVAL_CHUNK
+    for got, expect in zip(chunks, whole, strict=True):
+        assert got.dtype == expect.dtype == EVAL_DTYPE
+        assert np.array_equal(got[:full], expect[:full])
+        np.testing.assert_allclose(got[full:], expect[full:], rtol=1e-5,
+                                   atol=1e-5 * np.max(np.abs(expect)))
 
 
 @pytest.mark.parametrize("call", [

@@ -6,7 +6,9 @@ must agree to 1e-12 for random shapes, both attention activations, with and
 without a dropout mask, and with a query broadcast over the batch axis.
 Dropout is checked bit for bit against the float-multiplier mask it replaced,
 and the feed-forward op and both post-norm sublayer ops bit for bit against
-their chains, alone and inside a training step of the whole model.
+their chains, alone and inside a training step of the whole model; attention
+that folds the key and value projections into its queries agrees with its
+chain to 1e-12 relative, alone and inside that step.
 """
 
 import contextlib
@@ -22,8 +24,10 @@ import hierconn.model
 from hierconn.autodiff import (
     Tensor, attention, attention_sublayer, dropout, ffn, layer_norm, linear, no_grad,
 )
+from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.losses import LossWeights, total_loss_graph
 from hierconn.model import LN_EPS, ModelConfig, forward_batch, init_params
+from hierconn.train import predict_scores
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 seeds = st.integers(0, 2**32 - 1)
@@ -216,18 +220,10 @@ def test_ffn_is_its_chain_bit_for_bit(tokens, rate):
                 assert_same_bits(got, grad)
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("tq, tk, shared, query_batch, activation", [
-    # queries, keys and values from one tensor, as node self-attention
-    pytest.param(7, 7, True, True, "softmax", id="node"),
-    # the (1, K, d) subgraph tokens of pool block 0 query every subject's nodes
-    pytest.param(3, 7, False, False, "sparsemax", id="pool-block-0"),
-    pytest.param(3, 7, False, True, "sparsemax", id="pool"),
-    # graph attention's single (B, 1, d) query
-    pytest.param(1, 4, False, True, "softmax", id="graph"),
-])
-def test_attention_sublayer_is_its_chain_bit_for_bit(tq, tk, shared, query_batch, activation, rate):
-    batch, d, heads = 3, 8, 2
+def sublayer_inputs(tq, tk, shared, query_batch, rate, heads):
+    """Query, key/value, projection and norm arrays of one attention sublayer and
+    its ``(keep, scale)`` dropout mask at ``rate``; the key bias is nonzero."""
+    batch, d = 3, 8
     rng = np.random.default_rng([tq, tk, query_batch])
     kv = rng.normal(size=(batch, tk, d))
     x = kv if shared else rng.normal(size=(batch if query_batch else 1, tq, d))
@@ -237,23 +233,85 @@ def test_attention_sublayer_is_its_chain_bit_for_bit(tq, tk, shared, query_batch
     mask = None
     if rate:
         mask = rng.random((batch, heads, tq, tk)) >= rate, 1.0 / (1.0 - rate)
+    return ([] if shared else [x]) + [kv] + weights, mask
 
-    def op(sublayer):
-        def call(*tensors):
-            x, kv = (tensors[0],) * 2 if shared else tensors[:2]
-            w = tensors[1:] if shared else tensors[2:]
-            return sublayer(x, kv, w[:8], (*w[8:], LN_EPS), heads, activation, mask)
 
-        return call
+def sublayer_call(sublayer, shared, heads, activation, mask):
+    def call(*tensors):
+        x, kv = (tensors[0],) * 2 if shared else tensors[:2]
+        w = tensors[1:] if shared else tensors[2:]
+        return sublayer(x, kv, w[:8], (*w[8:], LN_EPS), heads, activation, mask)
 
-    arrays = ([] if shared else [x]) + [kv] + weights
-    fused = run(op(attention_sublayer), arrays, 7)
-    chain = run(op(composite_attention_sublayer), arrays, 7)
+    return call
+
+
+BK = 3  # the key bias's place among the projections
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("tq, tk, shared, query_batch, activation", [
+    # queries, keys and values from one tensor, as node self-attention
+    pytest.param(7, 7, True, True, "softmax", id="node"),
+    # cross-attention with as many head-query rows as keys (heads * Tq = Tk), the
+    # most keys that still project: the (1, K, d) queries of block 0, then (B, K, d)
+    pytest.param(3, 6, False, False, "sparsemax", id="pool-block-0"),
+    pytest.param(3, 6, False, True, "sparsemax", id="pool"),
+    # a single (B, 1, d) query over heads keys
+    pytest.param(1, 2, False, True, "softmax", id="graph"),
+])
+def test_attention_sublayer_is_its_chain_bit_for_bit(tq, tk, shared, query_batch, activation, rate):
+    # the projecting path (heads * Tq >= Tk) with a zero key bias has the chain's
+    # bits; the key bias gets an exact zero where the chain's sum is rounding noise
+    heads = 2
+    arrays, mask = sublayer_inputs(tq, tk, shared, query_batch, rate, heads)
+    bk = (1 if shared else 2) + BK
+    arrays[bk] = np.zeros_like(arrays[bk])
+    fused = run(sublayer_call(attention_sublayer, shared, heads, activation, mask), arrays, 7)
+    chain = run(sublayer_call(composite_attention_sublayer, shared, heads, activation, mask),
+                arrays, 7)
     if activation == "sparsemax":  # the projection is sparse and not one-hot
         assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
+    assert np.all(fused[2][bk] == 0.0)
+    del fused[2][bk], chain[2][bk]
     for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
                            strict=True):
         assert_same_bits(got, expect)
+
+
+def assert_relative(got, expect, rtol):
+    """``got`` within ``rtol`` of ``expect``, relative to ``expect``'s largest magnitude."""
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    scale = np.max(np.abs(expect))
+    assert np.max(np.abs(got - expect)) <= rtol * scale, (np.max(np.abs(got - expect)), scale)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("activation", ["softmax", "sparsemax"])
+@pytest.mark.parametrize("tq, tk, query_batch", [
+    pytest.param(3, 7, False, id="pool-block-0"),  # the (1, K, d) subgraph tokens
+    pytest.param(3, 7, True, id="pool"),
+    pytest.param(3, 16, True, id="pool-wide"),
+    pytest.param(1, 4, True, id="graph"),
+])
+def test_folded_attention_sublayer_matches_its_chain(tq, tk, query_batch, activation, rate):
+    # fewer head-query rows than keys: keys and values of kv are never projected,
+    # so the value and every gradient agree with the chain to rounding, and the
+    # nonzero key bias, which the chain adds to the scores, changes nothing
+    heads = 2
+    assert heads * tq < tk
+    arrays, mask = sublayer_inputs(tq, tk, False, query_batch, rate, heads)
+    fused = run(sublayer_call(attention_sublayer, False, heads, activation, mask), arrays, 7)
+    chain = run(sublayer_call(composite_attention_sublayer, False, heads, activation, mask),
+                arrays, 7)
+    if activation == "sparsemax":
+        assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
+    bk = 2 + BK
+    assert np.all(fused[2][bk] == 0.0)
+    assert np.max(np.abs(chain[2][bk])) <= 1e-12 * np.max(np.abs(chain[2][bk - 1]))
+    del fused[2][bk], chain[2][bk]
+    for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
+                           strict=True):
+        assert_relative(got, expect, 1e-12)
 
 
 def test_ffn_without_a_graph_keeps_no_slope():
@@ -324,6 +382,37 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
     assert out.requires_grad
     assert 5 * act <= held < 5 * act + act // 2, held
 
+    # pool attention (heads * Tq < Tk) projects no keys or values: the node holds
+    # q, x-hat and std beside the output, no (B, Tk, d) array; its backward
+    # allocates one (B, Tk, d) array, kv's gradient (a (B, Tk, d) array is 16
+    # MiB, a (B, Tq, d) one 32 KiB). Projecting, the node held k and v, and its
+    # backward peaked two (B, Tk, d) arrays above that.
+    tq, tk, d = 2, 1024, 256
+    x = Tensor(rng.normal(size=(batch, tq, d)), requires_grad=True)
+    kv = Tensor(rng.normal(size=(batch, tk, d)), requires_grad=True)
+    weights = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+               for s in [(d, d), (d,)] * 4 + [(d,), (d,)]]
+    mask = rng.random((batch, heads, tq, tk)) >= 0.1, 1.0 / 0.9
+    query, keys = batch * tq * d * 8, batch * tk * d * 8
+    g = np.ones((batch, tq, d))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out, p = attention_sublayer(
+            x, kv, weights[:8], (*weights[8:], LN_EPS), heads, "sparsemax", mask
+        )
+        del p
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 3 * query <= held < 3 * query + query // 2, held
+    assert keys <= peak < keys + keys // 2, (peak, keys)
+    assert kv.grad.shape == kv.shape
+
 
 def graph_nodes(*roots):
     seen, stack = set(), list(roots)
@@ -352,6 +441,15 @@ def training_step(config, monkeypatch, chains):
     return nodes, total.data, {name: params[name].grad for name in params.names()}
 
 
+def projecting_chain(x, kv, projections, norm, heads, activation, mask=None):
+    """The chain where the sublayer projects keys and values (node attention), the
+    fused op where it folds them into the queries (pool and graph attention)."""
+    sublayer = composite_attention_sublayer
+    if heads * x.shape[-2] < kv.shape[-2]:
+        sublayer = attention_sublayer
+    return sublayer(x, kv, projections, norm, heads, activation, mask)
+
+
 @pytest.mark.parametrize("rate, fewer_per_ffn", [(0.1, 3), (0.0, 2)])
 def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_ffn, monkeypatch):
     config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3, dropout=rate)
@@ -361,11 +459,55 @@ def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_ffn,
     # norm); the primitive chain of each FFN and the head adds linear, gelu,
     # (dropout,) linear
     fewer = 14 * sublayers + 2 * sublayers
+    key_biases = [name for name in grads if name.endswith(".bk")]
+    assert len(key_biases) == sublayers
+    for name in key_biases:
+        assert np.all(grads[name] == 0.0), name
     for ffn_chain, chain_fewer in ((sublayer_ffn, fewer),
                                    (composite_ffn, fewer + fewer_per_ffn * (sublayers + 1))):
-        chains = {"attention_sublayer": composite_attention_sublayer, "ffn": ffn_chain}
-        chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chains)
-        assert (nodes, chain_nodes - nodes) == (80, chain_fewer)
+        # node attention and the FFNs have their chains' bits (the key biases start
+        # at zero); the chain's key-bias gradients are rounding noise
+        chains = {"attention_sublayer": projecting_chain, "ffn": ffn_chain}
+        _, chain_total, chain_grads = training_step(config, monkeypatch, chains)
         assert_same_bits(total, chain_total)
         for name, grad in grads.items():
-            assert_same_bits(grad, chain_grads[name])
+            if name not in key_biases:
+                assert_same_bits(grad, chain_grads[name])
+        # pool and graph attention fold keys and values into the queries: every
+        # value within rounding of the whole chain
+        chains["attention_sublayer"] = composite_attention_sublayer
+        chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chains)
+        assert (nodes, chain_nodes - nodes) == (80, chain_fewer)
+        assert_relative(total, chain_total, 1e-12)
+        for name, grad in grads.items():
+            if name not in key_biases:
+                assert_relative(grad, chain_grads[name], 1e-12)
+
+
+def test_nonzero_key_biases_of_an_old_checkpoint_change_no_score(tmp_path, monkeypatch):
+    # checkpoints written while the scores still added the key bias hold nonzero
+    # bk; it shifted each score row by a constant, which neither activation sees,
+    # so the chain that adds it, the model reading the file and the same weights
+    # with bk zeroed all score alike
+    config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3)
+    params = init_params(config, 3)
+    rng = np.random.default_rng(8)
+    key_biases = [name for name in params.names() if name.endswith(".bk")]
+    for name in key_biases:
+        params[name].data[...] = rng.normal(size=config.d)
+    _, params, _ = load_checkpoint(save_checkpoint(tmp_path / "c.bin", config, params))
+    matrices = rng.uniform(-1.0, 1.0, size=(5, config.n, config.n))
+
+    def logits():
+        with no_grad():
+            return forward_batch(matrices, params, config).z_g.data
+
+    with monkeypatch.context() as m:
+        m.setattr(hierconn.model, "attention_sublayer", composite_attention_sublayer)
+        with_bias = logits()
+    np.testing.assert_allclose(logits(), with_bias, rtol=1e-12, atol=1e-12)
+    scores = predict_scores(matrices, params, config)
+    for name in key_biases:
+        params[name].data[...] = 0.0
+    np.testing.assert_allclose(logits(), with_bias, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(predict_scores(matrices, params, config), scores, rtol=1e-6)

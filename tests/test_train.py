@@ -35,6 +35,7 @@ from hierconn.model import (
 from hierconn.train import (
     OptimizerState,
     TrainConfig,
+    collect_gradients,
     cosine_lr,
     fit,
     optimizer_step,
@@ -120,6 +121,28 @@ class TestOptimizerStep:
                 optimizer_step(params, {"w": np.array([0.1 * (step + 1)])}, state, 1e-3, cfg)
             results.append(params["w"].data.copy())
         assert np.array_equal(results[0], results[1])
+
+
+def test_key_biases_get_zero_gradients_and_stay_at_zero():
+    # the key bias shifts whole score rows, so every attention sublayer hands it
+    # an exact zero gradient, and a decayed adaptive step leaves a zero bias at 0
+    config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3, dropout=0.1)
+    params = init_params(config, 3)
+    rng = np.random.default_rng(0)
+    matrices = rng.uniform(-1.0, 1.0, size=(6, config.n, config.n))
+    out = forward_batch(matrices, params, config, mode="train", rng=np.random.default_rng(1))
+    total, _ = total_loss_graph(out, np.eye(2)[[0, 1, 0, 1, 1, 0]], 0, 10, LossWeights())
+    total.backward()
+    grads = collect_gradients(params)
+    key_biases = [name for name in params.names() if name.endswith(".bk")]
+    assert len(key_biases) == 2 * config.layers + 1
+    for name in key_biases:
+        assert grads[name].dtype == np.float64 and np.all(grads[name] == 0.0), name
+    before = params.flat.copy()
+    optimizer_step(params, grads, OptimizerState(params), 1e-3, TrainConfig(weight_decay=0.01))
+    for name in key_biases:
+        assert np.all(params[name].data == 0.0), name
+    assert np.count_nonzero(params.flat != before) > params.flat.size // 2
 
 
 def assert_views_flat(params):
