@@ -27,22 +27,22 @@ closed form instead of being chained through primitives:
   head-major view, the bits of multiplying and then merging). No score adds
   the key bias ``bk``: ``q . bk`` is constant along a score row, which
   neither activation sees, so ``bk`` stays a parameter (and in checkpoints)
-  with an exact zero gradient. The shape picks the keys and values. With
-  ``heads * Tq >= Tk`` (node self-attention) ``k`` and ``v`` are projections
-  of ``kv``. With fewer head-query rows than key rows (pool and graph
-  attention) they are folded away: the scores are ``(q_h Wk_h^T) kv^T`` and
-  head h reads ``(W_h kv) Wv_h + rowsum(W_h) bv_h``, ``W = P * mask``, GEMMs
-  of (B, heads * Tq, .) rows, and ``kv`` takes one gradient, ``[dS | W]^T @
-  [q~ ; dC]`` (the absorbed projection of latent-query pooling: Lee et al.
-  2019, DeepSeek-AI 2024). Backward is the layer-norm gradient ``(gx -
-  mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g * gain`` (Ba et
-  al. 2016), ``P * (u - sum(u * P))`` for softmax or the support-centred
-  sparsemax Jacobian (Martins & Astudillo 2016) with ``u`` the gradient at
-  ``P`` times the mask, and the GEMMs of each projection. The node keeps
-  the query projection (and, projecting, ``k`` and ``v``), ``xhat``, ``std``
-  and the keep-mask; backward rebuilds ``P`` and the merged heads by the
-  forward's own calls, so they have the forward's bits, instead of keeping
-  them (selective recomputation, Korthikanti et al. 2022).
+  with an exact zero gradient. The role picks the keys and values.
+  Self-attention (``kv is x``, node attention) projects ``k`` and ``v`` from
+  ``x``. Cross-attention (pool and graph attention) folds them away: the
+  scores are ``(q_h Wk_h^T) kv^T`` and head h reads ``(W_h kv) Wv_h +
+  rowsum(W_h) bv_h``, ``W = P * mask``, GEMMs of (B, heads * Tq, .) rows,
+  and ``kv`` takes one gradient, ``[dS | W]^T @ [q~ ; dC]`` (the absorbed
+  projection of latent-query pooling: Lee et al. 2019, DeepSeek-AI 2024).
+  Backward is the layer-norm gradient ``(gx - mean(gx) - xhat * mean(gx *
+  xhat)) / std`` with ``gx = g * gain`` (Ba et al. 2016), ``P * (u - sum(u *
+  P))`` for softmax or the support-centred sparsemax Jacobian (Martins &
+  Astudillo 2016) with ``u`` the gradient at ``P`` times the mask, and the
+  GEMMs of each projection. The node keeps the query projection (and, in
+  self-attention, ``k`` and ``v``), ``xhat``, ``std`` and the keep-mask;
+  backward rebuilds ``P`` and the merged heads by the forward's own calls, so
+  they have the forward's bits, instead of keeping them (selective
+  recomputation, Korthikanti et al. 2022).
 - ``ffn(x, w1, b1, w2, b2, mask, norm)``: ``dropout(gelu(x @ w1 + b1)) @ w2 +
   b2``, the classifier head, and with ``norm`` the post-norm sublayer
   ``layer_norm(x + ffn(x))``. The first GEMM writes the hidden array, and one
@@ -55,11 +55,11 @@ closed form instead of being chained through primitives:
 A sublayer op runs the numpy operations of the chain of nodes it replaced,
 in their order, and hands each input its gradient contributions in the
 order that chain's sweep did, so values and gradients keep the chain's
-bits, except the folded attention, which computes other GEMMs and matches
-its chain to rounding; its backward lets go of each saved array after the
-array's last read. The chain's ``layer_norm`` and ``attention`` (which share
-their kernels with the sublayer ops), ``Tensor.gelu`` and ``dropout`` stay as
-the tests' oracles; the model calls none of them.
+bits, except the folded cross-attention, which computes other GEMMs and
+matches its chain to rounding; its backward lets go of each saved array
+after the array's last read. The chain's ``layer_norm`` and ``attention``
+(which share their kernels with the sublayer ops), ``Tensor.gelu`` and
+``dropout`` stay as the tests' oracles; the model calls none of them.
 
 A dropout ``mask`` (for the attention ops, ``ffn`` and ``dropout``) is a
 ``(keep, scale)`` pair: a bool keep-mask and the inverted-dropout scale
@@ -426,25 +426,16 @@ class Tensor:
         original = self.data.shape
 
         def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
+            if self.requires_grad:
+                if axis is not None and not keepdims:
+                    g = np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(g, original).copy())
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, original).copy())
 
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * Tensor(
-            np.asarray(1.0 / count, dtype=self.data.dtype)
-        )
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- elementwise nonlinear -------------------------------------------------
 
@@ -780,13 +771,10 @@ def attention(
 
 
 def _merged_matmul(a: np.ndarray, b: np.ndarray, heads_shape) -> np.ndarray:
-    """``_unbroadcast(a @ b, heads_shape)`` for a (B, H, T, dh) ``heads_shape``, in
-    merged-head (B, T, H * dh) layout. Unless a batch axis is summed, the GEMMs
-    write straight into that layout through a head-major view, with the bits of
-    multiplying and then copying."""
+    """``a @ b`` of the (B, H, T, dh) ``heads_shape`` in merged-head (B, T, H * dh)
+    layout: the GEMMs write straight into it through a head-major view, with the
+    bits of multiplying and then copying."""
     batch, heads, t, d_h = heads_shape
-    if np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) != (batch, heads):
-        return _unbroadcast(a @ b, heads_shape).swapaxes(1, 2).reshape(batch, t, heads * d_h)
     out = np.empty((batch, t, heads, d_h), np.result_type(a, b))
     np.matmul(a, b, out=out.swapaxes(1, 2))
     return out.reshape(batch, t, heads * d_h)
@@ -811,31 +799,33 @@ def attention_sublayer(
     ``x`` (B or 1, Tq, d) holds the queries and the residual, ``kv`` (B, Tk, d)
     the keys and values; ``projections`` is ``(wq, bq, wk, bk, wv, bv, wo, bo)``,
     ``norm`` is ``(gain, bias, eps)``, and ``activation`` and the (B, heads, Tq,
-    Tk) ``mask`` are ``attention``'s. The module docstring gives the shape rule
-    that folds keys and values into the queries, and why no score adds ``bk``.
-    Projecting, values and gradients have the bits of the chain ``linear``,
-    split heads, ``attention``, merge, ``linear``, ``+``, ``layer_norm`` with a
-    zero key bias, whose sweep handed ``x`` its gradients from the residual,
-    the queries, the keys and the values in that order. Returns the output and
-    the per-head probabilities before the mask."""
+    Tk) ``mask`` are ``attention``'s. The role picks the path (module docstring,
+    which also says why no score adds ``bk``): self-attention, ``kv is x``,
+    projects keys and values, and its values and gradients have the bits of
+    the chain ``linear``, split heads, ``attention``, merge, ``linear``, ``+``,
+    ``layer_norm`` with a zero key bias, whose sweep handed ``x`` its gradients
+    from the residual, the queries, the keys and the values in that order;
+    cross-attention folds keys and values into the queries and matches that
+    chain to rounding. Returns the output and the per-head probabilities
+    before the mask."""
     wq, bq, wk, bk, wv, bv, wo, bo = projections
     gain, bias, eps = norm
     parents = (x, kv, *projections, gain, bias)
     d, t_q, t_k = x.shape[-1], x.shape[-2], kv.shape[-2]
     x2 = x.data.reshape(-1, d)
 
-    def split(rows, src):  # (rows, d) -> (B, heads, T, d_h) view
-        return rows.reshape(src.shape[:-1] + (heads, -1)).swapaxes(1, 2)
+    def split(rows):  # x's (rows, d) -> (B, heads, Tq, d_h) view
+        return rows.reshape(x.shape[:-1] + (heads, -1)).swapaxes(1, 2)
 
     q = x2 @ wq.data
     q += bq.data
-    q = split(q, x)
+    q = split(q)
     d_h = q.shape[-1]
-    fold = heads * t_q < t_k
+    batch = kv.shape[:-2]
+    heads_shape = batch + (heads, t_q, d_h)
+    fold = kv is not x
     if fold:
-        batch = np.broadcast_shapes(x.shape[:-2], kv.shape[:-2])
         rows = heads * t_q
-        heads_shape = batch + (heads, t_q, d_h)
         wk_t = wk.data.reshape(d, heads, d_h).transpose(1, 2, 0)  # Wk_h^T, (heads, d_h, d)
         wv_h = wv.data.reshape(d, heads, d_h).swapaxes(0, 1)  # Wv_h, (heads, d, d_h)
         bv_h = bv.data.reshape(heads, 1, d_h)
@@ -853,18 +843,16 @@ def attention_sublayer(
             by_head += (weights.sum(axis=-1)[..., None] * bv_h).swapaxes(-2, -3)
             return p, merged, (weights, pooled, qt)
     else:
-        kv2 = kv.data.reshape(-1, d)
-        k = split(kv2 @ wk.data, kv)
-        v = kv2 @ wv.data
+        k = split(x2 @ wk.data)
+        v = x2 @ wv.data
         v += bv.data
-        v = split(v, kv)
-        kv_heads = k.shape
+        v = split(v)
 
         def attend():
             # the probabilities and the merged heads, rebuilt by backward
             p = _attend(q, k, activation, d_h)
             weights = p if mask is None else _apply_mask(p, mask)
-            return p, _merged_matmul(weights, v, p.shape[:-1] + v.shape[-1:]), None
+            return p, _merged_matmul(weights, v, heads_shape), None
 
     p, merged = attend()[:2]
     xhat = merged.reshape(-1, merged.shape[-1]) @ wo.data
@@ -900,17 +888,17 @@ def attention_sublayer(
             ds = gm @ v.swapaxes(-1, -2)
             v = None
             ds = _attend_backward(ds, p, activation, mask, d_h)
-            _linear_backward(x, x2, wq, bq, _merged_matmul(ds, k, q.shape).reshape(x2.shape))
-            dk = _merged_matmul(ds.swapaxes(-1, -2), q, k.shape)
+            _linear_backward(x, x2, wq, bq, _merged_matmul(ds, k, heads_shape).reshape(x2.shape))
+            dk = _merged_matmul(ds.swapaxes(-1, -2), q, heads_shape)
             del ds
             q = k = None
-            _linear_backward(kv, kv2, wk, None, dk.reshape(kv2.shape))
+            _linear_backward(x, x2, wk, None, dk.reshape(x2.shape))
             del dk
             weights = p if mask is None else _apply_mask(p, mask)
             del p
-            dv = _merged_matmul(weights.swapaxes(-1, -2), gm, kv_heads)
+            dv = _merged_matmul(weights.swapaxes(-1, -2), gm, heads_shape)
             del weights, gm
-            _linear_backward(kv, kv2, wv, bv, dv.reshape(kv2.shape))
+            _linear_backward(x, x2, wv, bv, dv.reshape(x2.shape))
             return
         weights, pooled, qt = rebuilt
         del rebuilt
@@ -933,9 +921,7 @@ def attention_sublayer(
         if kv.requires_grad:
             ds = np.concatenate([ds, weights.reshape(ds.shape)], axis=-2)  # [dS | W]
             del weights
-            kv._accumulate(_unbroadcast(
-                ds.swapaxes(-1, -2) @ stacked.reshape(batch + (2 * rows, d)), kv.shape
-            ))
+            kv._accumulate(ds.swapaxes(-1, -2) @ stacked.reshape(batch + (2 * rows, d)))
         del ds, stacked
         if wk.requires_grad:
             wk._accumulate(_head_weight_grad(dqt, q))

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .autodiff import no_grad
 from .data import DatasetManifest, SubjectRecord
 from .errors import EmptyDataset, MissingAtlasLabels, ShapeMismatch
 from .model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
@@ -73,15 +72,15 @@ class CohortTraces:
 
 
 def eval_pass(matrices, params: ModelParams, config: ModelConfig, read) -> list:
-    """``read(out)`` of each graph-free forward over ``matrices`` (an array or a list of
-    (n, n) arrays), ``EVAL_CHUNK`` subjects at a time in ``EVAL_DTYPE``. Each chunk's
-    output is dropped once ``read`` returns, so only what it keeps outlives the chunk."""
+    """``read(out)`` of each forward over ``matrices`` (an array or a list of (n, n)
+    arrays), ``EVAL_CHUNK`` subjects at a time in ``EVAL_DTYPE``, on constant weights
+    (``ModelParams.astype``), so no op builds a graph. Each chunk's output is dropped
+    once ``read`` returns, so only what it keeps outlives the chunk."""
     eval_params = params.astype(EVAL_DTYPE)
-    with no_grad():
-        return [
-            read(forward_batch(matrices[start : start + EVAL_CHUNK], eval_params, config))
-            for start in range(0, len(matrices), EVAL_CHUNK)
-        ]
+    return [
+        read(forward_batch(matrices[start : start + EVAL_CHUNK], eval_params, config))
+        for start in range(0, len(matrices), EVAL_CHUNK)
+    ]
 
 
 def cohort_traces(

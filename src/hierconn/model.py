@@ -57,10 +57,6 @@ class ModelConfig:
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
 
-    @property
-    def d_h(self) -> int:
-        return self.d // self.heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 

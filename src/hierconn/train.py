@@ -264,13 +264,11 @@ def fit(
     best_state: np.ndarray | None = None
     skipped = 0
     first_skip: str | None = None  # a class name: the exception would keep the step's graph
-    epochs_run = 0
     stale = 0
     global_step = 0
     val_error: NumericalError | None = None
 
     for epoch in range(1, cfg.epochs + 1):
-        epochs_run = epoch
         order = np.random.default_rng([cfg.seed, 11, epoch]).permutation(n_train)
         epoch_losses = []
         for batch_index in range(batches_per_epoch):
@@ -346,7 +344,7 @@ def fit(
     report = TrainReport(
         best_epoch=best_epoch,
         best_val_metric=best_key[0],
-        epochs_run=epochs_run,
+        epochs_run=len(history),
         total_steps=total_steps,
         skipped_batches=skipped,
         history=history,

@@ -123,6 +123,20 @@ def test_forward_runs_once_per_chunk(setup, monkeypatch, call):
     assert sum(batch_sizes) == len(records)
 
 
+def test_eval_pass_over_trainable_weights_builds_no_graph(setup):
+    # the EVAL_DTYPE copies of the weights are constants, as is the input, so no
+    # op of the forward becomes a graph node
+    config, params, records = setup
+    assert params.flat.dtype == np.float64
+    assert all(params[name].requires_grad for name in params.names())
+    outs = eval_pass(stack_records(records[:17])[0], params, config, lambda out: out)
+    assert len(outs) == 2
+    for out in outs:
+        for t in (out.z_g, out.z_n, out.node_tokens, out.subgraph_tokens, out.graph_token):
+            assert not t.requires_grad and t._backward is None
+    assert all(params[name].grad is None for name in params.names())
+
+
 def test_predict_scores_on_no_subjects_is_empty(setup):
     config, params, _ = setup
     scores = predict_scores(np.empty((0, config.n, config.n)), params, config)

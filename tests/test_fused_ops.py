@@ -5,10 +5,10 @@ fused ops existed; they are kept here only as oracles. Values and gradients
 must agree to 1e-12 for random shapes, both attention activations, with and
 without a dropout mask, and with a query broadcast over the batch axis.
 Dropout is checked bit for bit against the float-multiplier mask it replaced,
-and the feed-forward op and both post-norm sublayer ops bit for bit against
-their chains, alone and inside a training step of the whole model; attention
-that folds the key and value projections into its queries agrees with its
-chain to 1e-12 relative, alone and inside that step.
+and the feed-forward op and the self-attention sublayer bit for bit against
+their chains, alone and inside a training step of the whole model;
+cross-attention, which folds the key and value projections into its queries,
+agrees with its chain to 1e-12 relative, alone and inside that step.
 """
 
 import contextlib
@@ -249,28 +249,18 @@ BK = 3  # the key bias's place among the projections
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("tq, tk, shared, query_batch, activation", [
-    # queries, keys and values from one tensor, as node self-attention
-    pytest.param(7, 7, True, True, "softmax", id="node"),
-    # cross-attention with as many head-query rows as keys (heads * Tq = Tk), the
-    # most keys that still project: the (1, K, d) queries of block 0, then (B, K, d)
-    pytest.param(3, 6, False, False, "sparsemax", id="pool-block-0"),
-    pytest.param(3, 6, False, True, "sparsemax", id="pool"),
-    # a single (B, 1, d) query over heads keys
-    pytest.param(1, 2, False, True, "softmax", id="graph"),
-])
-def test_attention_sublayer_is_its_chain_bit_for_bit(tq, tk, shared, query_batch, activation, rate):
-    # the projecting path (heads * Tq >= Tk) with a zero key bias has the chain's
-    # bits; the key bias gets an exact zero where the chain's sum is rounding noise
+@pytest.mark.parametrize("tokens", [pytest.param(7, id="node")])
+def test_attention_sublayer_is_its_chain_bit_for_bit(tokens, rate):
+    # self-attention (queries, keys and values from one tensor, as node attention)
+    # projects keys and values: with a zero key bias it has the chain's bits; the
+    # key bias gets an exact zero where the chain's sum is rounding noise
     heads = 2
-    arrays, mask = sublayer_inputs(tq, tk, shared, query_batch, rate, heads)
-    bk = (1 if shared else 2) + BK
+    arrays, mask = sublayer_inputs(tokens, tokens, True, True, rate, heads)
+    bk = 1 + BK
     arrays[bk] = np.zeros_like(arrays[bk])
-    fused = run(sublayer_call(attention_sublayer, shared, heads, activation, mask), arrays, 7)
-    chain = run(sublayer_call(composite_attention_sublayer, shared, heads, activation, mask),
+    fused = run(sublayer_call(attention_sublayer, True, heads, "softmax", mask), arrays, 7)
+    chain = run(sublayer_call(composite_attention_sublayer, True, heads, "softmax", mask),
                 arrays, 7)
-    if activation == "sparsemax":  # the projection is sparse and not one-hot
-        assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
     assert np.all(fused[2][bk] == 0.0)
     del fused[2][bk], chain[2][bk]
     for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
@@ -292,13 +282,18 @@ def assert_relative(got, expect, rtol):
     pytest.param(3, 7, True, id="pool"),
     pytest.param(3, 16, True, id="pool-wide"),
     pytest.param(1, 4, True, id="graph"),
+    # as many head-query rows as keys (heads * Tq = Tk), then more
+    pytest.param(3, 6, False, id="pool-block-0-balanced"),
+    pytest.param(3, 6, True, id="pool-balanced"),
+    pytest.param(1, 2, True, id="graph-balanced"),
+    pytest.param(3, 4, False, id="pool-block-0-few-keys"),
+    pytest.param(3, 4, True, id="pool-few-keys"),
 ])
 def test_folded_attention_sublayer_matches_its_chain(tq, tk, query_batch, activation, rate):
-    # fewer head-query rows than keys: keys and values of kv are never projected,
+    # cross-attention never projects keys and values of kv, whatever the shapes,
     # so the value and every gradient agree with the chain to rounding, and the
     # nonzero key bias, which the chain adds to the scores, changes nothing
     heads = 2
-    assert heads * tq < tk
     arrays, mask = sublayer_inputs(tq, tk, False, query_batch, rate, heads)
     fused = run(sublayer_call(attention_sublayer, False, heads, activation, mask), arrays, 7)
     chain = run(sublayer_call(composite_attention_sublayer, False, heads, activation, mask),
@@ -382,36 +377,45 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
     assert out.requires_grad
     assert 5 * act <= held < 5 * act + act // 2, held
 
-    # pool attention (heads * Tq < Tk) projects no keys or values: the node holds
-    # q, x-hat and std beside the output, no (B, Tk, d) array; its backward
-    # allocates one (B, Tk, d) array, kv's gradient (a (B, Tk, d) array is 16
-    # MiB, a (B, Tq, d) one 32 KiB). Projecting, the node held k and v, and its
-    # backward peaked two (B, Tk, d) arrays above that.
-    tq, tk, d = 2, 1024, 256
-    x = Tensor(rng.normal(size=(batch, tq, d)), requires_grad=True)
-    kv = Tensor(rng.normal(size=(batch, tk, d)), requires_grad=True)
-    weights = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
-               for s in [(d, d), (d,)] * 4 + [(d,), (d,)]]
-    mask = rng.random((batch, heads, tq, tk)) >= 0.1, 1.0 / 0.9
-    query, keys = batch * tq * d * 8, batch * tk * d * 8
-    g = np.ones((batch, tq, d))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out, p = attention_sublayer(
-            x, kv, weights[:8], (*weights[8:], LN_EPS), heads, "sparsemax", mask
-        )
-        del p
-        held = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out._backward(g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    # cross-attention projects no keys or values, whatever the shapes: the node
+    # holds q, x-hat and std beside the output, no (B, Tk, d) array. With few
+    # query rows (pool attention) its backward allocates one (B, Tk, d) array,
+    # kv's gradient (a (B, Tk, d) array is 16 MiB, a (B, Tq, d) one 32 KiB).
+    # Projecting, the node held k and v, and its backward peaked two (B, Tk, d)
+    # arrays above that.
+    def cross_attention(tq, tk, d):
+        """Bytes the node holds, its backward's peak, and a (B, Tq, d) and a (B, Tk,
+        d) array's bytes."""
+        x = Tensor(rng.normal(size=(batch, tq, d)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(batch, tk, d)), requires_grad=True)
+        weights = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+                   for s in [(d, d), (d,)] * 4 + [(d,), (d,)]]
+        mask = rng.random((batch, heads, tq, tk)) >= 0.1, 1.0 / 0.9
+        g = np.ones((batch, tq, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, p = attention_sublayer(
+                x, kv, weights[:8], (*weights[8:], LN_EPS), heads, "sparsemax", mask
+            )
+            del p
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kv.grad.shape == kv.shape
+        return held, peak, batch * tq * d * 8, batch * tk * d * 8
+
+    held, peak, query, keys = cross_attention(2, 1024, 256)
     assert 3 * query <= held < 3 * query + query // 2, held
     assert keys <= peak < keys + keys // 2, (peak, keys)
-    assert kv.grad.shape == kv.shape
+    # more head-query rows than keys (heads * Tq = 2 Tk): still no key or value
+    # array, where a projecting node also held k and v
+    held, _, query, _ = cross_attention(64, 128, 128)
+    assert 3 * query <= held < 3 * query + query // 2, held
 
 
 def graph_nodes(*roots):
@@ -442,11 +446,10 @@ def training_step(config, monkeypatch, chains):
 
 
 def projecting_chain(x, kv, projections, norm, heads, activation, mask=None):
-    """The chain where the sublayer projects keys and values (node attention), the
-    fused op where it folds them into the queries (pool and graph attention)."""
-    sublayer = composite_attention_sublayer
-    if heads * x.shape[-2] < kv.shape[-2]:
-        sublayer = attention_sublayer
+    """The chain where the sublayer projects keys and values (self-attention, node
+    attention), the fused op where it folds them into the queries (pool and graph
+    attention)."""
+    sublayer = composite_attention_sublayer if kv is x else attention_sublayer
     return sublayer(x, kv, projections, norm, heads, activation, mask)
 
 
