@@ -8,7 +8,9 @@ Dropout is checked bit for bit against the float-multiplier mask it replaced,
 and the feed-forward op and the self-attention sublayer bit for bit against
 their chains, alone and inside a training step of the whole model;
 cross-attention, which folds the key and value projections into its queries,
-agrees with its chain to 1e-12 relative, alone and inside that step.
+agrees with its chain to 1e-12 relative, alone and inside that step, and over
+block 0's (1, K, d) queries has the bits of those queries broadcast first,
+save the query side's gradients.
 """
 
 import contextlib
@@ -248,31 +250,56 @@ def sublayer_call(sublayer, shared, heads, activation, mask):
 BK = 3  # the key bias's place among the projections
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("tokens", [pytest.param(7, id="node")])
-def test_attention_sublayer_is_its_chain_bit_for_bit(tokens, rate):
-    # self-attention (queries, keys and values from one tensor, as node attention)
-    # projects keys and values: with a zero key bias it has the chain's bits; the
-    # key bias gets an exact zero where the chain's sum is rounding noise
-    heads = 2
-    arrays, mask = sublayer_inputs(tokens, tokens, True, True, rate, heads)
-    bk = 1 + BK
-    arrays[bk] = np.zeros_like(arrays[bk])
-    fused = run(sublayer_call(attention_sublayer, True, heads, "softmax", mask), arrays, 7)
-    chain = run(sublayer_call(composite_attention_sublayer, True, heads, "softmax", mask),
-                arrays, 7)
-    assert np.all(fused[2][bk] == 0.0)
-    del fused[2][bk], chain[2][bk]
-    for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
-                           strict=True):
-        assert_same_bits(got, expect)
-
-
 def assert_relative(got, expect, rtol):
     """``got`` within ``rtol`` of ``expect``, relative to ``expect``'s largest magnitude."""
     assert got.shape == expect.shape and got.dtype == expect.dtype
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(got - expect)) <= rtol * scale, (np.max(np.abs(got - expect)), scale)
+
+
+def broadcast_chain(x, kv, projections, norm, heads, activation, mask=None):
+    """Block 0's (1, K, d) subgraph tokens broadcast over the batch by a node of
+    their own, then the sublayer on (B, K, d) queries."""
+    x = x.broadcast_to(kv.shape[:1] + x.shape[1:])
+    return attention_sublayer(x, kv, projections, norm, heads, activation, mask)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("role", ["node", "pool-block-0"])
+def test_attention_sublayer_is_its_chain_bit_for_bit(role, rate):
+    heads = 2
+    if role == "node":
+        # self-attention (queries, keys and values from one tensor) projects keys
+        # and values: with a zero key bias it has the 15-node chain's bits; the key
+        # bias gets an exact zero where the chain's sum is rounding noise
+        arrays, mask = sublayer_inputs(7, 7, True, True, rate, heads)
+        bk = 1 + BK
+        arrays[bk] = np.zeros_like(arrays[bk])
+        call = sublayer_call(attention_sublayer, True, heads, "softmax", mask)
+        chain = run(sublayer_call(composite_attention_sublayer, True, heads, "softmax", mask),
+                    arrays, 7)
+        query_side = []
+    else:
+        # cross-attention folds, so it matches the 15-node chain only to rounding
+        # (the folded test below); block 0's (1, K, d) queries have the bits of
+        # the chain that broadcasts them first, save the query side's gradients
+        # (x, wq, bq, wk), which that chain sums over the batch in another order
+        arrays, mask = sublayer_inputs(3, 6, False, False, rate, heads)
+        bk = 2 + BK
+        call = sublayer_call(attention_sublayer, False, heads, "sparsemax", mask)
+        chain = run(sublayer_call(broadcast_chain, False, heads, "sparsemax", mask), arrays, 7)
+        query_side = [0, 2, 3, 4]
+    fused = run(call, arrays, 7)
+    if role != "node":  # the probabilities are sparse and not one-hot
+        assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
+    assert np.all(fused[2][bk] == 0.0)
+    for i in query_side:
+        assert_relative(fused[2][i], chain[2][i], 1e-12)
+    for i in sorted(query_side + [bk], reverse=True):
+        del fused[2][i], chain[2][i]
+    for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
+                           strict=True):
+        assert_same_bits(got, expect)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
