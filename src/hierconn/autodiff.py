@@ -10,9 +10,13 @@ Backward uses up the graph: once an interior node has passed its gradient
 on, the sweep drops its ``.grad``, its backward closure (and with it the
 activations the closure saved) and its parents, so the saved arrays and
 interior gradients are freed as the sweep passes instead of when the graph
-goes away. Only leaf gradients survive. A second ``backward`` through a
-used-up node raises ``RuntimeError``; nothing backpropagates twice through
-one graph, so there is no option to keep it.
+goes away. Only leaf gradients survive, and they add up across sweeps (a
+training step sums its chunks' gradients so): a tensor keeps its first
+contribution as given (it may alias another array, so it is never written),
+allocates the sum at the second and adds later ones into that array in
+place. A second ``backward`` through a used-up node raises
+``RuntimeError``; nothing backpropagates twice through one graph, so there
+is no option to keep it.
 
 Each sublayer of the model is one graph node whose backward is written in
 closed form instead of being chained through primitives:
@@ -144,22 +148,24 @@ _CDF_TABLES = {
          0.0018501983658892585),
     ),
 }
-# elements per slice: the slice and its four scratch arrays stay in cache
-_CDF_CHUNK = 32768
+# bytes per slice array (16384 float64 or 32768 float32 values), so a slice, its
+# four scratch arrays and a consumer's slices take the same cache in either dtype
+_CDF_SLICE_BYTES = 128 * 1024
 
 
 def _cdf_slices(xs: np.ndarray):
-    """Yield ``(slice, Phi)`` for each ``_CDF_CHUNK`` slice of the flat float32 or
-    float64 array ``xs``: ``Phi`` is the standard normal CDF ``erfc(-x / sqrt(2))
+    """Yield ``(slice, Phi)`` for each ``_CDF_SLICE_BYTES`` slice of the flat float32
+    or float64 array ``xs``: ``Phi`` is the standard normal CDF ``erfc(-x / sqrt(2))
     / 2`` of ``xs[slice]``, in its dtype, in a scratch buffer the next slice
     overwrites. With ``s = |x| / sqrt(2)``, ``erfc(s) = exp(-s^2) P(t) / Q(t)``
     at ``t = min(s, clamp)``, and ``Phi = 1/2 + copysign(1/2 - erfc(s) / 2, x)``;
     ``exp`` reaches exactly 0 in the far tails and NaN propagates. Scratch
     arrays are allocated per call, so concurrent calls do not share them."""
     clamp, num, den = _CDF_TABLES[xs.dtype]
-    s, t, r, u = (np.empty(min(xs.size, _CDF_CHUNK), xs.dtype) for _ in range(4))
-    for lo in range(0, xs.size, _CDF_CHUNK):
-        xc = xs[lo : lo + _CDF_CHUNK]
+    step = _CDF_SLICE_BYTES // xs.itemsize
+    s, t, r, u = (np.empty(min(xs.size, step), xs.dtype) for _ in range(4))
+    for lo in range(0, xs.size, step):
+        xc = xs[lo : lo + step]
         n = xc.size
         sc, tc, rc, uc = s[:n], t[:n], r[:n], u[:n]
         np.abs(xc, out=sc)
@@ -266,11 +272,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad", "__weakref__"
+    )
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = float_array(data)
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
@@ -304,11 +313,15 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        # accumulation always rebinds (never mutates), so aliased views are safe
+        # the first contribution is kept as given and may alias another array,
+        # so it is never written; the second allocates the sum, which this
+        # tensor owns, and later ones add into that array in place
         if self.grad is None:
-            self.grad = grad
+            self.grad, self._owns_grad = grad, False
+        elif self._owns_grad:
+            self.grad += grad
         else:
-            self.grad = self.grad + grad
+            self.grad, self._owns_grad = self.grad + grad, True
 
     # -- arithmetic -------------------------------------------------------
 
@@ -429,7 +442,10 @@ class Tensor:
             if self.requires_grad:
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, original).copy())
+                g = np.broadcast_to(g, original)
+                # only a first contribution is kept as it is, so only it needs
+                # an array of its own
+                self._accumulate(g.copy() if self.grad is None else g)
 
         return Tensor._make(out_data, (self,), backward)
 

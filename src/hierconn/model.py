@@ -21,17 +21,21 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import _CDF_CHUNK, Tensor, as_tensor, attention_sublayer, concat, ffn, linear
+from .autodiff import (
+    _CDF_SLICE_BYTES, Tensor, as_tensor, attention_sublayer, concat, ffn, linear,
+)
 from .errors import NonFiniteActivation, ShapeMismatch, check_fields
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
-# eval-mode forwards over a set of subjects (scoring, interpretation) run this
-# many subjects at a time, so their memory does not grow with the set; full
-# chunks have the bits of a whole-batch forward, and a shorter last chunk (not
-# padded) matches it to float32 rounding, since BLAS may block GEMMs of fewer
-# rows differently
-EVAL_CHUNK = 16
+# every forward, train or eval, runs at most this many subjects, so memory does
+# not grow with the batch or the set: eval passes (scoring, interpretation)
+# keep only what they read off each chunk, and a training step sums the
+# gradients of its chunks, each chunk's loss scaled by its share of the batch,
+# into one optimizer step; full eval chunks have the bits of a whole-batch
+# forward, and a shorter last chunk (not padded) matches it to float32
+# rounding, since BLAS may block GEMMs of fewer rows differently
+FORWARD_CHUNK = 16
 # eval-mode forwards compute in single precision; their results are cast back
 # to float64 where they leave the forward
 EVAL_DTYPE = np.float32
@@ -194,16 +198,17 @@ def _check_finite(name: str, t: Tensor) -> Tensor:
 def _dropout_mask(shape, p: float, train: bool, rng) -> tuple[np.ndarray, float] | None:
     """A ``(keep, scale)`` inverted-dropout mask of ``shape`` when training with
     ``p > 0``, else None: bool keep draws and ``1 / (1 - p)``. The uniforms are
-    drawn ``_CDF_CHUNK`` at a time into one buffer, the stream and values of
-    ``rng.random(shape) >= p`` without its float64 array."""
+    drawn into one buffer of ``_CDF_SLICE_BYTES``, a slice at a time, the stream
+    and values of ``rng.random(shape) >= p`` without its float64 array."""
     if not train or p <= 0.0:
         return None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng for determinism")
     keep = np.empty(shape, np.bool_)
     keeps = keep.reshape(-1)
-    draws = np.empty(min(keeps.size, _CDF_CHUNK))
-    for lo in range(0, keeps.size, _CDF_CHUNK):
+    step = _CDF_SLICE_BYTES // 8  # float64 uniforms
+    draws = np.empty(min(keeps.size, step))
+    for lo in range(0, keeps.size, step):
         part = draws[: keeps.size - lo]
         rng.random(out=part)
         np.greater_equal(part, p, out=keeps[lo : lo + part.size])

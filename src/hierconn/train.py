@@ -17,9 +17,9 @@ from .checkpoint import save_checkpoint
 from .data import SubjectRecord, mixup, stack_records
 from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismatch, check_fields
 from .interpret import eval_pass
-from .losses import LossWeights, total_loss_graph
+from .losses import LossBreakdown, LossWeights, total_loss_graph
 from .metrics import compute_metrics
-from .model import ModelConfig, ModelParams, forward_batch
+from .model import FORWARD_CHUNK, ModelConfig, ModelParams, forward_batch
 
 
 @dataclass(frozen=True)
@@ -212,18 +212,34 @@ def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[floa
 
 
 def _train_step(xb, yb, params, config, state, cfg, weights, lr_t, step, total_steps, rng):
-    """Forward, loss, backward and optimizer step on one batch; returns the
-    loss breakdown. The step's graph and gradients live only in this frame,
-    so they are gone before the next batch's forward."""
-    out = forward_batch(xb, params, config, mode="train", rng=rng)
-    total, breakdown = total_loss_graph(out, yb, step, total_steps, weights)
+    """One optimizer step on a batch; returns its loss breakdown.
+
+    The forward, loss and backward run over consecutive chunks of at most
+    ``FORWARD_CHUNK`` subjects, dropout drawn from ``rng`` chunk by chunk in
+    order. Each chunk's loss is scaled by its share of the batch before its
+    backward; every loss term is a mean of per-subject rows, so the leaf
+    gradients summed over the chunks are the batch-mean gradient, and the
+    breakdown is the share-weighted sum of the chunks' (``beta_t`` is the
+    step's). A batch of at most ``FORWARD_CHUNK`` subjects is one chunk of
+    share 1.0, a whole-batch step bit for bit. Only one chunk's graph is alive
+    at a time, and the gradients live only in this frame, so memory does not
+    grow with the batch and nothing of the step outlives it."""
+    terms = np.zeros(5)  # cls, aux, oc, hc, total
     params.zero_grad()
     try:
-        total.backward()
+        for start in range(0, len(xb), FORWARD_CHUNK):
+            xc, yc = xb[start : start + FORWARD_CHUNK], yb[start : start + FORWARD_CHUNK]
+            share = len(xc) / len(xb)
+            out = forward_batch(xc, params, config, mode="train", rng=rng)
+            total, part = total_loss_graph(out, yc, step, total_steps, weights)
+            (total * share).backward()
+            del out, total  # the chunk's graph goes before the next chunk's forward
+            terms += share * np.array([part.cls, part.aux, part.oc, part.hc, part.total])
         optimizer_step(params, collect_gradients(params), state, lr_t, cfg)
     finally:
         params.zero_grad()
-    return breakdown
+    cls, aux, oc, hc, total = terms.tolist()
+    return LossBreakdown(cls=cls, aux=aux, oc=oc, hc=hc, beta_t=part.beta_t, total=total)
 
 
 def fit(
@@ -238,7 +254,10 @@ def fit(
     """Train to convergence or patience; restores the best-metric weights.
 
     Deterministic given ``cfg.seed`` on one thread: batch order, mixup draws,
-    and dropout masks all come from seed-derived generators. An epoch whose
+    and dropout masks all come from seed-derived generators. Mixup pairs
+    subjects within the whole batch; the forward and backward then run at most
+    ``FORWARD_CHUNK`` subjects at a time and sum the chunks' share-scaled
+    gradients into one optimizer step (``_train_step``). An epoch whose
     validation raises ``NumericalError`` records no metric, cannot become best
     and counts toward patience; only when no epoch validates is the first such
     error raised. A run whose every optimizer step was skipped still finishes,

@@ -217,6 +217,33 @@ class TestGraphMechanics:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
+    def test_third_contribution_adds_in_place_and_a_first_one_is_never_written(self):
+        t = Tensor(np.zeros(5), requires_grad=True)
+        a, b, c = np.random.default_rng(0).normal(size=(3, 5))
+        first = a.copy()
+        t._accumulate(a)
+        assert t.grad is a  # kept as given
+        t._accumulate(b)
+        owned = t.grad
+        assert owned is not a
+        t._accumulate(c)
+        assert t.grad is owned
+        np.testing.assert_array_equal(t.grad.view(np.uint64), ((first + b) + c).view(np.uint64))
+        np.testing.assert_array_equal(a, first)
+
+    def test_aliased_first_contributions_stay_intact(self):
+        # ``+`` hands one gradient array to both operands, so ``a``'s first
+        # contribution is the array ``b`` also receives first; ``a`` then takes
+        # two more contributions, and ``x.sum()`` feeds ``x`` twice
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        x = Tensor(np.array([5.0, 6.0]), requires_grad=True)
+        u = a + b
+        ((u + a + a).sum() + x.sum() * 2.0 + x.sum()).backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
     def test_diamond_graph(self):
         x = Tensor(np.array(1.5), requires_grad=True)
         a = x * 2.0

@@ -1,4 +1,4 @@
-"""Eval-mode inference runs in fixed chunks of ``EVAL_CHUNK`` subjects.
+"""Eval-mode inference runs in fixed chunks of ``FORWARD_CHUNK`` subjects.
 
 ``predict_scores`` and ``cohort_traces`` return what one whole-batch eval
 forward in ``EVAL_DTYPE`` returns: bit for bit for the subjects of full chunks,
@@ -21,7 +21,7 @@ from hierconn.autodiff import no_grad
 from hierconn.checkpoint import READ_SLICE, load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces, eval_pass
-from hierconn.model import EVAL_CHUNK, EVAL_DTYPE, ModelConfig, forward_batch, init_params
+from hierconn.model import FORWARD_CHUNK, EVAL_DTYPE, ModelConfig, forward_batch, init_params
 from hierconn.train import predict_scores
 
 SIZES = (1, 15, 16, 17, 53)
@@ -48,7 +48,7 @@ def whole_batch(records, params, config):
 
 
 def test_chunk_size_is_sixteen():
-    assert EVAL_CHUNK == 16
+    assert FORWARD_CHUNK == 16
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -82,7 +82,7 @@ def test_chunks_at_reference_widths_match_a_whole_batch_forward(reference_model,
     # padded) matches it to float32 rounding
     config, params = reference_model
     rng = np.random.default_rng(tail)
-    matrices = rng.uniform(-1.0, 1.0, size=(2 * EVAL_CHUNK + tail, config.n, config.n))
+    matrices = rng.uniform(-1.0, 1.0, size=(2 * FORWARD_CHUNK + tail, config.n, config.n))
 
     def read(out):
         return (out.z_g.data, out.z_n.data, out.node_tokens.data, out.subgraph_tokens.data,
@@ -91,7 +91,7 @@ def test_chunks_at_reference_widths_match_a_whole_batch_forward(reference_model,
     chunks = [np.concatenate(parts) for parts in zip(*eval_pass(matrices, params, config, read))]
     with no_grad():
         whole = read(forward_batch(matrices, params.astype(EVAL_DTYPE), config, mode="eval"))
-    full = 2 * EVAL_CHUNK
+    full = 2 * FORWARD_CHUNK
     for got, expect in zip(chunks, whole, strict=True):
         assert got.dtype == expect.dtype == EVAL_DTYPE
         assert np.array_equal(got[:full], expect[:full])
@@ -106,7 +106,7 @@ def test_chunks_at_reference_widths_match_a_whole_batch_forward(reference_model,
 def test_forward_runs_once_per_chunk(setup, monkeypatch, call):
     """Both functions run their forwards through ``interpret.eval_pass``, which
     calls ``forward_batch`` by the ``hierconn.interpret`` name, at most
-    ``EVAL_CHUNK`` subjects at a time."""
+    ``FORWARD_CHUNK`` subjects at a time."""
     config, params, records = setup
     batch_sizes = []
 
@@ -116,10 +116,10 @@ def test_forward_runs_once_per_chunk(setup, monkeypatch, call):
 
     monkeypatch.setattr(hierconn.interpret, "forward_batch", counting)
     call(params, config, records[:17])
-    assert batch_sizes == [EVAL_CHUNK, 1]
+    assert batch_sizes == [FORWARD_CHUNK, 1]
     batch_sizes.clear()
     call(params, config, records)
-    assert len(batch_sizes) == math.ceil(len(records) / EVAL_CHUNK)
+    assert len(batch_sizes) == math.ceil(len(records) / FORWARD_CHUNK)
     assert sum(batch_sizes) == len(records)
 
 
@@ -161,14 +161,14 @@ def test_memory_stays_bounded_per_chunk(run):
     (a whole-batch forward costs about 7.5 times)."""
     config = ModelConfig(n=20, d=16, heads=2, layers=2, k=4, dropout=0.1)
     params = init_params(config, 3)
-    records = cohort(20, 8 * EVAL_CHUNK)
+    records = cohort(20, 8 * FORWARD_CHUNK)
     matrices, _ = stack_records(records)
     peaks = {}
-    for size in (EVAL_CHUNK, 8 * EVAL_CHUNK):
+    for size in (FORWARD_CHUNK, 8 * FORWARD_CHUNK):
         args = (params, config, records[:size], matrices[:size])
         run(*args)  # warm caches and lazy imports outside the measurement
         peaks[size] = traced_peak(lambda: run(*args))
-    assert peaks[8 * EVAL_CHUNK] <= 1.5 * peaks[EVAL_CHUNK], peaks
+    assert peaks[8 * FORWARD_CHUNK] <= 1.5 * peaks[FORWARD_CHUNK], peaks
 
 
 @pytest.mark.parametrize("dtype", [np.float64, EVAL_DTYPE], ids=["float64", "eval-dtype"])

@@ -4,7 +4,7 @@ plus whole-forward contracts."""
 import numpy as np
 import pytest
 
-from hierconn.autodiff import _CDF_CHUNK, Tensor, no_grad
+from hierconn.autodiff import _CDF_SLICE_BYTES, Tensor, no_grad
 from hierconn.errors import NonFiniteActivation, ShapeMismatch
 from hierconn.model import (
     LN_EPS,
@@ -31,7 +31,9 @@ def dropout_masks(seed, shape, rate):
     return (np.random.default_rng(seed).random(shape) >= rate) / (1.0 - rate)
 
 
-C = _CDF_CHUNK
+# a whole number of slices of float64 uniforms, so sizes C - 1, C and C + 1 end
+# at a slice edge
+C = _CDF_SLICE_BYTES // 4
 
 
 @pytest.mark.parametrize("p", [0.1, 0.999])

@@ -13,7 +13,15 @@ from scipy.special import erf
 import hierconn.autodiff
 from hierconn.autodiff import Tensor, _normal_cdf
 
-C = hierconn.autodiff._CDF_CHUNK
+def slice_len(dtype) -> int:
+    """Values in one slice of ``_cdf_slices`` in ``dtype``."""
+    return hierconn.autodiff._CDF_SLICE_BYTES // np.dtype(dtype).itemsize
+
+
+# a float32 slice, two float64 slices: sizes next to a multiple of C end next to
+# a slice edge in either dtype
+C = slice_len(np.float32)
+assert C % slice_len(np.float64) == 0
 ULP = {np.float32: 2.0**-24, np.float64: 2.0**-53}  # a unit in the last place of 0.5
 
 
@@ -71,13 +79,14 @@ def test_slices_do_not_change_values(dtype, size):
     assert cdf.shape == x.shape and cdf.dtype == dtype
     # each element lands at another offset within its slice when the order is reversed
     np.testing.assert_array_equal(cdf, _normal_cdf(x[::-1].copy())[::-1])
-    edges = sorted({i for i in (0, C - 1, C, C + 1, 2 * C, size - 1) if 0 <= i < size})
+    c = slice_len(dtype)
+    edges = sorted({i for i in (0, c - 1, c, c + 1, 2 * c, size - 1) if 0 <= i < size})
     np.testing.assert_array_equal(cdf[edges], elementwise(x[edges]))
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 29])
 def test_every_element_matches_across_small_slices(monkeypatch, size):
-    monkeypatch.setattr(hierconn.autodiff, "_CDF_CHUNK", 8)
+    monkeypatch.setattr(hierconn.autodiff, "_CDF_SLICE_BYTES", 8 * 8)  # 8 float64 values
     x = np.random.default_rng(size).normal(size=size) * 4.0
     np.testing.assert_array_equal(_normal_cdf(x), elementwise(x))
 

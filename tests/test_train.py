@@ -522,21 +522,24 @@ class TestFit:
 
     @pytest.mark.parametrize("skip", [False, True], ids=["steps", "skipped"])
     def test_each_step_graph_freed_before_next_forward(self, monkeypatch, skip):
-        # a step's graph (reached through its logits) and its parameter
-        # gradients must be gone when the next forward starts, whether the
-        # step completed or was skipped
-        ds, split, config, params, cfg = tiny_setup(epochs=2)
+        # a chunk's graph (reached through its logits) must be gone when the
+        # next forward starts, and the parameter gradients when a step's first
+        # chunk starts, whether the step completed or was skipped; batches of 8
+        # run as one chunk, batches of 20 as chunks of 16 and 4
         import hierconn.train as train_mod
 
         original = train_mod.forward_batch
-        refs, modes = [], []
+        refs, sizes, step_rngs = [], [], []
 
         def tracking_forward(matrices, params, config, **kwargs):
             assert all(ref() is None for ref in refs), f"forward {len(refs)}: graph alive"
-            assert all(params[name].grad is None for name in params.names())
+            assert kwargs["mode"] == "train"
+            if not step_rngs or kwargs["rng"] is not step_rngs[-1]:  # a new step
+                assert all(params[name].grad is None for name in params.names())
+                step_rngs.append(kwargs["rng"])
             out = original(matrices, params, config, **kwargs)
             refs.append(weakref.ref(out.z_g))
-            modes.append(kwargs["mode"])
+            sizes.append(len(matrices))
             return out
 
         def bad_collect(_params):
@@ -545,13 +548,25 @@ class TestFit:
         monkeypatch.setattr(train_mod, "forward_batch", tracking_forward)
         if skip:
             monkeypatch.setattr(train_mod, "collect_gradients", bad_collect)
-        report = fit(
-            ds.subset(split.train_ids), ds.subset(split.val_ids),
-            params, config, cfg, LossWeights(),
-        )
-        assert modes.count("train") == report.total_steps > 2
-        assert report.skipped_batches == (report.total_steps if skip else 0)
-        assert all(ref() is None for ref in refs)
+        for batch_size, subjects in ((8, 24), (20, 60)):
+            ds = tiny_dataset(subjects=subjects)
+            split = stratified_kfold(ds, k=5, seed=0)[0]
+            config = ModelConfig(n=ds.n, d=8, heads=2, layers=1, k=3, dropout=0.1)
+            cfg = TrainConfig(epochs=2, batch_size=batch_size, lr=1e-3, lr_min=1e-4,
+                              early_stop_patience=0)
+            refs.clear(), sizes.clear(), step_rngs.clear()
+            report = fit(
+                ds.subset(split.train_ids), ds.subset(split.val_ids),
+                init_params(config, 0), config, cfg, LossWeights(),
+            )
+            assert len(step_rngs) == report.total_steps > 2
+            assert report.skipped_batches == (report.total_steps if skip else 0)
+            assert all(ref() is None for ref in refs)
+            train = len(split.train_ids)
+            batches = [min(batch_size, train - lo) for lo in range(0, train, batch_size)]
+            chunks = [min(16, b - lo) for b in batches for lo in range(0, b, 16)]
+            assert sizes == 2 * chunks
+            assert max(sizes) == min(batch_size, 16)
 
 
 class TestLearnability:
