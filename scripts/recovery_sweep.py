@@ -16,12 +16,18 @@ is run by the test suite. Each seed trains one fold (about half a minute on one
 core). Run from the repository root:
 
     PYTHONPATH=src python3 scripts/recovery_sweep.py 1 2 3 4 5 123
+
+``--json PATH`` also writes the per-seed rows, with the numpy version and the
+seconds each seed took, to PATH (the committed ``BENCH_recovery.json``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,26 +61,37 @@ def recovery(seed: int) -> dict:
     traces = cohort_traces(params, CONFIG, select_cohort(ds, ids=fold.test_ids))
     assign = aggregate_assignments(traces)
     top2 = rank_subgraphs(traces).ranking[:2]
-    jaccards = {k: jaccard(assign.support_masks[k], PLANTED) for k in top2}
+    # plain Python values, so a row is also a JSON object (keys in ranking order)
+    jaccards = {int(k): float(jaccard(assign.support_masks[k], PLANTED)) for k in top2}
     best = max(jaccards, key=jaccards.get)
     blocks = int(np.sum(atlas_overlap(assign, ds.atlas_labels).proportions[best] >= 0.2))
     cohort = select_cohort(ds, ids=fold.test_ids, include_controls=True)
     cosine = mean_token_cosine(cohort_traces(params, CONFIG, cohort))
-    return {"seed": seed, "auc": report.folds[0].auc, "jaccards": jaccards, "blocks": blocks,
-            "passes": jaccards[best] >= 0.5 and blocks >= 2, "cosine": cosine}
+    return {"seed": seed, "auc": float(report.folds[0].auc), "jaccards": jaccards,
+            "blocks": blocks, "passes": bool(jaccards[best] >= 0.5 and blocks >= 2),
+            "cosine": float(cosine)}
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", type=int, nargs="+")
+    parser.add_argument("--json", type=Path, metavar="PATH", help="also write the rows here")
     args = parser.parse_args(argv)
     print("seed  fold-0 AUC  top-2 Jaccards            blocks  criterion 6  token cosine")
+    rows = []
     for seed in args.seeds:
+        start = time.perf_counter()
         r = recovery(seed)
+        rows.append({**r, "seconds": round(time.perf_counter() - start, 1)})
         jac = ", ".join(f"{k}: {v:.3f}" for k, v in r["jaccards"].items())
         print(f"{seed:>4}  {r['auc']:10.4f}  {{{jac}}}".ljust(42)
               + f"{r['blocks']:>6}  {'pass' if r['passes'] else 'fail':<11}  {r['cosine']:12.4f}",
               flush=True)
+    if args.json is not None:
+        args.json.write_text(json.dumps({
+            "numpy": np.__version__, "python": platform.python_version(),
+            "machine": platform.machine(), "seeds": rows,
+        }, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -75,7 +75,10 @@ Precision: a tensor keeps float32 data as float32 and stores anything else
 as float64, and every op computes in the dtype of its operands. A non-tensor
 operand of tensor arithmetic (a Python number or an array) takes the
 tensor's dtype, and ``backward`` seeds the sweep in the output's dtype, so a
-float32 graph computes and backpropagates in float32.
+float32 graph computes and backpropagates in float32. Training steps build
+float32 graphs on a float32 working copy of the parameters, and their leaf
+gradients add up in float32 across a step's chunks; gradient checks build
+float64 graphs on the float64 parameters through the same ops.
 
 GELU's Gaussian CDF comes from ``_cdf_slices``, the one kernel behind
 ``Tensor.gelu``, ``ffn`` and ``_normal_cdf``: a rational approximation of

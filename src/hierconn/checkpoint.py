@@ -9,8 +9,8 @@ header's config. Raw bytes in and out, so round-trips are bit-exact.
 size are checked against the file's size before anything that large is read, and
 the payload is read ``READ_SLICE`` values at a time straight into ``flat`` in the
 requested dtype, so a load holds the parameters plus one slice, not the whole file
-and a float64 copy of it. A float64 load is the trainable master copy; an
-``EVAL_DTYPE`` load holds the bits of ``flat.astype(EVAL_DTYPE)`` as constant
+and a float64 copy of it. A float64 load is the trainable master copy; a
+``FORWARD_DTYPE`` load holds the bits of ``flat.astype(FORWARD_DTYPE)`` as constant
 tensors, all that ``hierconn interpret`` keeps of the weights: at the reference
 shape (9.36M weights) its max RSS over 256 subjects fell from 200.0 to 128.5 MB.
 """

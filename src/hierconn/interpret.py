@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import atomic_open
 from .data import DatasetManifest, SubjectRecord
 from .errors import EmptyDataset, MissingAtlasLabels, ShapeMismatch
-from .model import FORWARD_CHUNK, EVAL_DTYPE, ModelConfig, ModelParams, forward_batch
+from .model import FORWARD_CHUNK, FORWARD_DTYPE, ModelConfig, ModelParams, forward_batch
 
 SUPPORT_THRESHOLD = 0.01  # sparse attention leaves mostly exact zeros; this trims dust
 
@@ -73,10 +73,10 @@ class CohortTraces:
 
 def eval_pass(matrices, params: ModelParams, config: ModelConfig, read) -> list:
     """``read(out)`` of each forward over ``matrices`` (an array or a list of (n, n)
-    arrays), ``FORWARD_CHUNK`` subjects at a time in ``EVAL_DTYPE``, on constant weights
+    arrays), ``FORWARD_CHUNK`` subjects at a time in ``FORWARD_DTYPE``, on constant weights
     (``ModelParams.astype``), so no op builds a graph. Each chunk's output is dropped
     once ``read`` returns, so only what it keeps outlives the chunk."""
-    eval_params = params.astype(EVAL_DTYPE)
+    eval_params = params.astype(FORWARD_DTYPE)
     return [
         read(forward_batch(matrices[start : start + FORWARD_CHUNK], eval_params, config))
         for start in range(0, len(matrices), FORWARD_CHUNK)

@@ -8,10 +8,12 @@ its own feed-forward sublayer, post-norm throughout. The classifier reads
 the concatenation of the graph token with mean-pooled subgraph and node
 tokens; an auxiliary head reads mean-pooled node tokens alone.
 
-A forward computes in the dtype of the parameters it is given: training and
-gradient checks pass the float64 master tensors, eval-mode inference passes
-an ``EVAL_DTYPE`` copy of them (``ModelParams.astype``), or the ``EVAL_DTYPE``
-parameters ``hierconn interpret`` loads, which it passes on without a copy.
+A forward computes in the dtype of the parameters it is given. A training
+step passes a ``FORWARD_DTYPE`` working copy of the float64 master tensors
+that takes gradients, and eval-mode inference a constant ``FORWARD_DTYPE``
+copy (both ``ModelParams.astype``), or the ``FORWARD_DTYPE`` parameters
+``hierconn interpret`` loads, which it passes on without a copy; gradient
+checks pass the float64 master tensors themselves.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ INIT_STD = 0.02
 # forward, and a shorter last chunk (not padded) matches it to float32
 # rounding, since BLAS may block GEMMs of fewer rows differently
 FORWARD_CHUNK = 16
-# eval-mode forwards compute in single precision; their results are cast back
-# to float64 where they leave the forward
-EVAL_DTYPE = np.float32
+# training and eval-mode forwards compute in single precision: a training
+# step's gradients are cast to float64 where the optimizer reads them, eval
+# results where they leave the forward
+FORWARD_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,17 @@ class ModelParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def astype(self, dtype) -> "ModelParams":
-        """Constant (no-gradient) copies of every tensor in ``dtype``, for eval forwards;
-        ``self`` when its tensors already are constant and of ``dtype``."""
+    def astype(self, dtype, requires_grad=False) -> "ModelParams":
+        """Copies of every tensor in ``dtype``: constant ones for eval forwards
+        (``self`` when its tensors already are constant and of ``dtype``), or with
+        ``requires_grad`` a training step's working copy, which takes gradients."""
         self.check_views()
-        if self.flat.dtype == dtype and not any(t.requires_grad for t in self.tensors.values()):
+        if not requires_grad and self.flat.dtype == dtype and not any(
+            t.requires_grad for t in self.tensors.values()
+        ):
             return self
         shapes = {name: t.shape for name, t in self.tensors.items()}
-        return ModelParams(shapes, self.flat.astype(dtype), requires_grad=False)
+        return ModelParams(shapes, self.flat.astype(dtype), requires_grad)
 
 
 def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:

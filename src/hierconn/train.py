@@ -19,7 +19,7 @@ from .errors import EmptyDataset, NonFiniteGradient, NumericalError, ShapeMismat
 from .interpret import eval_pass
 from .losses import LossBreakdown, LossWeights, total_loss_graph
 from .metrics import compute_metrics
-from .model import FORWARD_CHUNK, ModelConfig, ModelParams, forward_batch
+from .model import FORWARD_CHUNK, FORWARD_DTYPE, ModelConfig, ModelParams, forward_batch
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,10 @@ def optimizer_step(
     elementwise passes run over one slice of at most ``STEP_SLICE`` parameters
     of a tensor at a time, reading its gradient where it is, so no params-sized
     temporary exists; each element sees the operations of whole-array passes in
-    their order, so the result has their bits.
+    their order, so the result has their bits. Gradients may be float32 (a
+    training step's) or float64: each slice is copied into a float64 buffer, and
+    the clip norm is summed in float64, so float32 gradients give the bits of
+    their float64 casts.
     """
     params.check_views()
     names = params.names()
@@ -137,7 +140,10 @@ def optimizer_step(
             raise NonFiniteGradient(f"non-finite gradient in {name}")
     clip = None
     if cfg.grad_clip_norm is not None:
-        norm = math.sqrt(sum(float(np.sum(grads[name] * grads[name])) for name in names))
+        # summed in float64 whatever the gradients' dtype: a finite float32
+        # entry above ~1.8e19 squares to inf in float32 and would zero the step
+        wide = (np.asarray(grads[name], np.float64) for name in names)
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in wide))
         if norm > cfg.grad_clip_norm:
             clip = cfg.grad_clip_norm / norm
     state.step += 1
@@ -211,35 +217,46 @@ def _val_metric(kind: str, scores: np.ndarray, labels: np.ndarray) -> tuple[floa
     return metrics.acc, metrics.auc
 
 
+def _backward_in_chunks(xb, yb, params, config, weights, step, total_steps, rng):
+    """Forward, losses and backward of a batch in the dtype of ``params``, whose
+    leaves are left holding the batch-mean gradients; returns the loss breakdown.
+
+    They run over consecutive chunks of at most ``FORWARD_CHUNK`` subjects,
+    dropout drawn from ``rng`` chunk by chunk in order. Each chunk's loss is
+    scaled by its share of the batch before its backward; every loss term is a
+    mean of per-subject rows, so the leaf gradients summed over the chunks are
+    the batch-mean gradient, and the breakdown is the share-weighted sum of the
+    chunks' (``beta_t`` is the step's). A batch of at most ``FORWARD_CHUNK``
+    subjects is one chunk of share 1.0, a whole-batch backward bit for bit. Only
+    one chunk's graph is alive at a time, so memory does not grow with the
+    batch."""
+    terms = np.zeros(5)  # cls, aux, oc, hc, total
+    for start in range(0, len(xb), FORWARD_CHUNK):
+        xc, yc = xb[start : start + FORWARD_CHUNK], yb[start : start + FORWARD_CHUNK]
+        share = len(xc) / len(xb)
+        out = forward_batch(xc, params, config, mode="train", rng=rng)
+        total, part = total_loss_graph(out, yc, step, total_steps, weights)
+        (total * share).backward()
+        del out, total  # the chunk's graph goes before the next chunk's forward
+        terms += share * np.array([part.cls, part.aux, part.oc, part.hc, part.total])
+    cls, aux, oc, hc, total = terms.tolist()
+    return LossBreakdown(cls=cls, aux=aux, oc=oc, hc=hc, beta_t=part.beta_t, total=total)
+
+
 def _train_step(xb, yb, params, config, state, cfg, weights, lr_t, step, total_steps, rng):
     """One optimizer step on a batch; returns its loss breakdown.
 
-    The forward, loss and backward run over consecutive chunks of at most
-    ``FORWARD_CHUNK`` subjects, dropout drawn from ``rng`` chunk by chunk in
-    order. Each chunk's loss is scaled by its share of the batch before its
-    backward; every loss term is a mean of per-subject rows, so the leaf
-    gradients summed over the chunks are the batch-mean gradient, and the
-    breakdown is the share-weighted sum of the chunks' (``beta_t`` is the
-    step's). A batch of at most ``FORWARD_CHUNK`` subjects is one chunk of
-    share 1.0, a whole-batch step bit for bit. Only one chunk's graph is alive
-    at a time, and the gradients live only in this frame, so memory does not
-    grow with the batch and nothing of the step outlives it."""
-    terms = np.zeros(5)  # cls, aux, oc, hc, total
-    params.zero_grad()
-    try:
-        for start in range(0, len(xb), FORWARD_CHUNK):
-            xc, yc = xb[start : start + FORWARD_CHUNK], yb[start : start + FORWARD_CHUNK]
-            share = len(xc) / len(xb)
-            out = forward_batch(xc, params, config, mode="train", rng=rng)
-            total, part = total_loss_graph(out, yc, step, total_steps, weights)
-            (total * share).backward()
-            del out, total  # the chunk's graph goes before the next chunk's forward
-            terms += share * np.array([part.cls, part.aux, part.oc, part.hc, part.total])
-        optimizer_step(params, collect_gradients(params), state, lr_t, cfg)
-    finally:
-        params.zero_grad()
-    cls, aux, oc, hc, total = terms.tolist()
-    return LossBreakdown(cls=cls, aux=aux, oc=oc, hc=hc, beta_t=part.beta_t, total=total)
+    Mixed precision on a master copy (Micikevicius et al. 2018): the step casts
+    the float64 master ``params`` to a ``FORWARD_DTYPE`` working copy that takes
+    gradients, runs ``_backward_in_chunks`` on it, and hands the copy's
+    gradients to ``optimizer_step`` as they are, which casts them to float64
+    slice by slice; the master weights and the moments stay float64. The copy
+    and its gradients live only in this frame, so nothing of the step outlives
+    it, and the master never holds a gradient."""
+    work = params.astype(FORWARD_DTYPE, requires_grad=True)
+    breakdown = _backward_in_chunks(xb, yb, work, config, weights, step, total_steps, rng)
+    optimizer_step(params, collect_gradients(work), state, lr_t, cfg)
+    return breakdown
 
 
 def fit(
@@ -323,7 +340,9 @@ def fit(
         try:
             key = _val_metric(cfg.early_stop_metric, predict_scores(x_val, params, config), y_val)
         except NumericalError as exc:
-            # the float32 eval copy can overflow where float64 training did not
+            # no training forward has seen the weights of the epoch's last step
+            # or the validation subjects, so this forward can overflow where
+            # the steps did not
             key = None
             val_error = val_error or exc
         history.append(

@@ -1,7 +1,7 @@
 """Eval-mode inference runs in fixed chunks of ``FORWARD_CHUNK`` subjects.
 
 ``predict_scores`` and ``cohort_traces`` return what one whole-batch eval
-forward in ``EVAL_DTYPE`` returns: bit for bit for the subjects of full chunks,
+forward in ``FORWARD_DTYPE`` returns: bit for bit for the subjects of full chunks,
 and to float32 rounding for those of a shorter final chunk, whose GEMMs have
 fewer rows and may be blocked differently (at the small widths below they also
 match bit for bit). Their memory must not grow with the number of subjects. A
@@ -21,7 +21,7 @@ from hierconn.autodiff import no_grad
 from hierconn.checkpoint import READ_SLICE, load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces, eval_pass
-from hierconn.model import FORWARD_CHUNK, EVAL_DTYPE, ModelConfig, forward_batch, init_params
+from hierconn.model import FORWARD_CHUNK, FORWARD_DTYPE, ModelConfig, forward_batch, init_params
 from hierconn.train import predict_scores
 
 SIZES = (1, 15, 16, 17, 53)
@@ -44,7 +44,7 @@ def setup():
 def whole_batch(records, params, config):
     matrices, _ = stack_records(records)
     with no_grad():
-        return forward_batch(matrices, params.astype(EVAL_DTYPE), config, mode="eval")
+        return forward_batch(matrices, params.astype(FORWARD_DTYPE), config, mode="eval")
 
 
 def test_chunk_size_is_sixteen():
@@ -90,10 +90,10 @@ def test_chunks_at_reference_widths_match_a_whole_batch_forward(reference_model,
 
     chunks = [np.concatenate(parts) for parts in zip(*eval_pass(matrices, params, config, read))]
     with no_grad():
-        whole = read(forward_batch(matrices, params.astype(EVAL_DTYPE), config, mode="eval"))
+        whole = read(forward_batch(matrices, params.astype(FORWARD_DTYPE), config, mode="eval"))
     full = 2 * FORWARD_CHUNK
     for got, expect in zip(chunks, whole, strict=True):
-        assert got.dtype == expect.dtype == EVAL_DTYPE
+        assert got.dtype == expect.dtype == FORWARD_DTYPE
         assert np.array_equal(got[:full], expect[:full])
         np.testing.assert_allclose(got[full:], expect[full:], rtol=1e-5,
                                    atol=1e-5 * np.max(np.abs(expect)))
@@ -124,7 +124,7 @@ def test_forward_runs_once_per_chunk(setup, monkeypatch, call):
 
 
 def test_eval_pass_over_trainable_weights_builds_no_graph(setup):
-    # the EVAL_DTYPE copies of the weights are constants, as is the input, so no
+    # the FORWARD_DTYPE copies of the weights are constants, as is the input, so no
     # op of the forward becomes a graph node
     config, params, records = setup
     assert params.flat.dtype == np.float64
@@ -171,7 +171,7 @@ def test_memory_stays_bounded_per_chunk(run):
     assert peaks[8 * FORWARD_CHUNK] <= 1.5 * peaks[FORWARD_CHUNK], peaks
 
 
-@pytest.mark.parametrize("dtype", [np.float64, EVAL_DTYPE], ids=["float64", "eval-dtype"])
+@pytest.mark.parametrize("dtype", [np.float64, FORWARD_DTYPE], ids=["float64", "eval-dtype"])
 def test_checkpoint_load_holds_the_parameters_plus_one_slice(dtype, tmp_path):
     """A load of ~1M weights peaks at the parameters in ``dtype`` (the float64
     payload, or half of it) plus one float64 read slice, and 256 KiB for the

@@ -21,7 +21,7 @@ from hierconn.data import (
     load_dataset,
     save_dataset,
 )
-from hierconn.model import EVAL_DTYPE, ModelConfig, init_params
+from hierconn.model import FORWARD_DTYPE, ModelConfig, init_params
 from hierconn.errors import InvalidSpec, InvalidValue, ParseError, UnknownKey
 
 
@@ -206,9 +206,10 @@ class TestTrainCommand:
     def test_float32_overflow_in_validation_is_numerical_failure(
         self, synth_spec_file, tmp_path, monkeypatch, capsys
     ):
-        # a head bias float64 training carries but the float32 eval copy cannot:
-        # the per-epoch validation forward overflows, outside the batch-skip policy,
-        # so the run ends with exit 3 and writes nothing past its effective config
+        # a head bias the float64 master weights carry but no float32 copy can:
+        # every training step is skipped, and the per-epoch validation forward
+        # overflows, outside the batch-skip policy, so the run ends with exit 3
+        # and writes nothing past its effective config
         def init_with_huge_head_bias(config, seed):
             params = init_params(config, seed)
             params["head.b2"].data[...] = 1e39
@@ -321,7 +322,7 @@ class TestInterpretCommand:
         assert not out.exists()
 
     def test_loads_the_checkpoint_once_in_eval_dtype(self, synth_spec_file, tmp_path, monkeypatch):
-        """``interpret`` holds no float64 weights: it loads them in ``EVAL_DTYPE``
+        """``interpret`` holds no float64 weights: it loads them in ``FORWARD_DTYPE``
         through ``hierconn.cli.load_checkpoint``, the path first and positional
         (the benchmark tracer wraps that name and reads the path from ``args[0]``)."""
         ds_out = tmp_path / "ds"
@@ -338,7 +339,7 @@ class TestInterpretCommand:
             "interpret", "--checkpoint", str(path), "--data", str(ds_out / "manifest.json"),
             "--out", str(tmp_path / "interp"),
         ]) == 0
-        assert calls == [((str(path), EVAL_DTYPE), {})]
+        assert calls == [((str(path), FORWARD_DTYPE), {})]
 
     def test_end_to_end(self, synth_spec_file, tmp_path):
         train_out = tmp_path / "run"

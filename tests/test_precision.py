@@ -1,13 +1,14 @@
-"""Eval forwards compute in single precision; training stays in float64.
+"""Forwards compute in single precision on copies of the float64 weights.
 
-A forward computes in the dtype of the parameters it is given. Eval callers
-(``predict_scores``, ``cohort_traces``) pass an ``EVAL_DTYPE`` copy, so every
-fused op of their forwards must produce ``EVAL_DTYPE``: one float64 constant
-anywhere would silently promote the rest of the forward. A training step on
-the float64 master parameters must stay float64 throughout, gradients
-included, and a training graph built on float32 parameters backpropagates in
-float32. The eval results are returned in float64 and agree with a float64
-forward to 1e-5.
+A forward computes in the dtype of the parameters it is given. Training
+steps pass a ``FORWARD_DTYPE`` working copy that takes gradients, and eval
+callers (``predict_scores``, ``cohort_traces``) a constant one, so every fused
+op of their forwards must produce ``FORWARD_DTYPE``: one float64 constant
+anywhere would silently promote the rest of the forward. A training graph
+built on float32 parameters backpropagates in float32, and one built on the
+float64 master parameters (as gradient checks build it) stays float64
+throughout, gradients included. The eval results are returned in float64 and
+agree with a float64 forward to 1e-5.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
 from hierconn.losses import LossWeights, total_loss_graph
-from hierconn.model import EVAL_DTYPE, ModelConfig, ModelParams, forward_batch, init_params
+from hierconn.model import FORWARD_DTYPE, ModelConfig, ModelParams, forward_batch, init_params
 from hierconn.sparsemax import sparsemax_rows, sparsemax_rows_backward
 from hierconn.train import predict_scores
 
@@ -67,15 +68,15 @@ def recorded(monkeypatch):
 
 
 def test_eval_forward_stays_in_eval_dtype(recorded):
-    assert EVAL_DTYPE == np.float32
+    assert FORWARD_DTYPE == np.float32
     matrices, _ = stack_records(cohort(5))
     with no_grad():
-        out = forward_batch(matrices, spread_params().astype(EVAL_DTYPE), CONFIG, mode="eval")
+        out = forward_batch(matrices, spread_params().astype(FORWARD_DTYPE), CONFIG, mode="eval")
     for op, dtypes in recorded.items():
-        assert dtypes and set(dtypes) == {np.dtype(EVAL_DTYPE)}, op
+        assert dtypes and set(dtypes) == {np.dtype(FORWARD_DTYPE)}, op
     arrays = [out.z_g.data, out.z_n.data, out.node_tokens.data, out.subgraph_tokens.data,
               out.graph_token.data, *out.trace.node_to_subgraph, out.trace.subgraph_to_graph]
-    assert {a.dtype for a in arrays} == {np.dtype(EVAL_DTYPE)}
+    assert {a.dtype for a in arrays} == {np.dtype(FORWARD_DTYPE)}
 
 
 def test_training_step_stays_float64(recorded):
@@ -132,22 +133,22 @@ def test_float32_training_step_backpropagates_in_float32():
 def test_eval_copy_is_constant_and_leaves_the_master_untouched():
     params = spread_params()
     before = {name: params[name].data.copy() for name in params.names()}
-    copy = params.astype(EVAL_DTYPE)
+    copy = params.astype(FORWARD_DTYPE)
     for name in params.names():
-        assert copy[name].data.dtype == EVAL_DTYPE and not copy[name].requires_grad
-        assert np.array_equal(copy[name].data, before[name].astype(EVAL_DTYPE))
+        assert copy[name].data.dtype == FORWARD_DTYPE and not copy[name].requires_grad
+        assert np.array_equal(copy[name].data, before[name].astype(FORWARD_DTYPE))
         assert params[name].data.dtype == np.float64
         assert np.array_equal(params[name].data, before[name])
 
 
 def test_eval_dtype_checkpoint_load_is_passed_on_uncopied(monkeypatch, tmp_path):
-    """``interpret`` loads its weights in ``EVAL_DTYPE``: ``eval_pass`` hands that
+    """``interpret`` loads its weights in ``FORWARD_DTYPE``: ``eval_pass`` hands that
     ``ModelParams`` to every forward as it is, and the traces equal those of a
     float64 load, which ``eval_pass`` casts."""
     path = save_checkpoint(tmp_path / "c.bin", CONFIG, spread_params())
     _, master, _ = load_checkpoint(path)
-    _, loaded, _ = load_checkpoint(path, EVAL_DTYPE)
-    assert loaded.astype(EVAL_DTYPE) is loaded
+    _, loaded, _ = load_checkpoint(path, FORWARD_DTYPE)
+    assert loaded.astype(FORWARD_DTYPE) is loaded
     seen = []
 
     def recording(matrices, params, *args, **kwargs):

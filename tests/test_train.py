@@ -25,7 +25,7 @@ from hierconn.errors import (
 )
 from hierconn.losses import LossWeights, total_loss_graph
 from hierconn.model import (
-    EVAL_DTYPE,
+    FORWARD_DTYPE,
     ModelConfig,
     ModelParams,
     forward_batch,
@@ -110,6 +110,20 @@ class TestOptimizerStep:
         state2 = OptimizerState(params2)
         optimizer_step(params2, {"w": np.array([1.0])}, state2, 1e-2, cfg)
         assert clipped == pytest.approx(params2["w"].data[0], abs=1e-15)
+
+    def test_huge_finite_float32_gradient_still_clips(self):
+        # 1e20 is finite in float32 but its float32 square is not: the norm is
+        # summed in float64, so the step is the clipped unit step, not zero
+        cfg = TrainConfig(weight_decay=0.0, grad_clip_norm=1.0)
+        grad = np.array([1e20], np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(grad).all() and not np.isfinite(grad * grad).all()
+        params = scalar_params(0.0)
+        optimizer_step(params, {"w": grad}, OptimizerState(params), 1e-2, cfg)
+        unit = scalar_params(0.0)
+        optimizer_step(unit, {"w": np.array([1.0])}, OptimizerState(unit), 1e-2, cfg)
+        assert params["w"].data[0] != 0.0
+        assert params["w"].data[0] == pytest.approx(unit["w"].data[0], abs=1e-15)
 
     def test_deterministic(self):
         results = []
@@ -321,6 +335,26 @@ class TestSlicedOptimizerStep:
             assert_views_flat(params)
             for got, expect in ((params.flat, flat), (state.m, m), (state.v, v)):
                 np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(weight_decay=0.01),
+        TrainConfig(weight_decay=0.01, grad_clip_norm=0.05),
+    ], ids=["decayed", "clipped-decayed"])
+    def test_float32_gradients_have_the_bits_of_their_float64_casts(self, cfg, monkeypatch):
+        monkeypatch.setattr(hierconn.train, "STEP_SLICE", 7)
+        runs = []
+        for dtype in (np.float32, np.float64):
+            params = init_params(FLAT_CONFIG, 5)
+            state = OptimizerState(params)
+            for step in range(1, 4):
+                grads = {name: g.astype(np.float32)
+                         for name, g in random_grads(params, np.random.default_rng(step)).items()}
+                optimizer_step(params, {name: g.astype(dtype) for name, g in grads.items()},
+                               state, 1e-3, cfg)
+            runs.append((params.flat, state.m, state.v))
+        for got, expect in zip(*runs):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.parametrize("grad_clip_norm", [None, 0.05])
     def test_one_step_allocates_under_a_quarter_of_the_parameters(self, grad_clip_norm):
@@ -626,7 +660,7 @@ class TestCheckpointContainer:
                              ids=["slices-of-7", "default-slices"])
     def test_load_in_a_dtype_is_the_cast_of_the_payload(self, read_slice, tmp_path, monkeypatch):
         """Read in slices, a float64 load holds the payload's bits and is trainable;
-        an ``EVAL_DTYPE`` load holds the bits of the float64 load's ``flat`` cast to
+        a ``FORWARD_DTYPE`` load holds the bits of the float64 load's ``flat`` cast to
         it, as constant tensors, overflow, underflow and signed zeros included."""
         monkeypatch.setattr(hierconn.checkpoint, "READ_SLICE", read_slice)
         config = ModelConfig(n=6, d=8, heads=2, layers=1, k=3)
@@ -641,9 +675,9 @@ class TestCheckpointContainer:
         assert np.array_equal(master.flat.view(np.uint64), payload.view(np.uint64))
         assert all(t.requires_grad for t in master.tensors.values())
         with np.errstate(over="ignore"):
-            cast = master.flat.astype(EVAL_DTYPE)
-            _, loaded, _ = load_checkpoint(path, EVAL_DTYPE)
-        assert loaded.flat.dtype == EVAL_DTYPE
+            cast = master.flat.astype(FORWARD_DTYPE)
+            _, loaded, _ = load_checkpoint(path, FORWARD_DTYPE)
+        assert loaded.flat.dtype == FORWARD_DTYPE
         assert np.array_equal(loaded.flat.view(np.uint32), cast.view(np.uint32))
         assert not any(t.requires_grad for t in loaded.tensors.values())
         loaded.check_views()
