@@ -28,10 +28,9 @@ closed form instead of being chained through primitives:
   query projection splits into heads as a view; ``P = act(q k^T / sqrt(d_h))``
   (softmax or sparsemax), times an optional dropout ``mask``, multiplies the
   values straight into merged-head layout (``np.matmul`` with ``out=`` a
-  head-major view, the bits of multiplying and then merging). No score adds
-  the key bias ``bk``: ``q . bk`` is constant along a score row, which
-  neither activation sees, so ``bk`` stays a parameter (and in checkpoints)
-  with an exact zero gradient. The role picks the keys and values.
+  head-major view, the bits of multiplying and then merging). There is no
+  key bias: it would shift a whole score row, which neither activation sees.
+  The role picks the keys and values.
   Self-attention (``kv is x``, node attention) projects ``k`` and ``v`` from
   ``x``. Cross-attention (pool and graph attention) folds them away: the
   scores are ``(q_h Wk_h^T) kv^T`` and head h reads ``(W_h kv) Wv_h +
@@ -816,18 +815,18 @@ def attention_sublayer(
     """The post-norm sublayer ``layer_norm(x + attend(x, kv) @ wo + bo)`` as one node.
 
     ``x`` (B or 1, Tq, d) holds the queries and the residual, ``kv`` (B, Tk, d)
-    the keys and values; ``projections`` is ``(wq, bq, wk, bk, wv, bv, wo, bo)``,
-    ``norm`` is ``(gain, bias, eps)``, and ``activation`` and the (B, heads, Tq,
-    Tk) ``mask`` are ``attention``'s. The role picks the path (module docstring,
-    which also says why no score adds ``bk``): self-attention, ``kv is x``,
-    projects keys and values, and its values and gradients have the bits of
-    the chain ``linear``, split heads, ``attention``, merge, ``linear``, ``+``,
-    ``layer_norm`` with a zero key bias, whose sweep handed ``x`` its gradients
+    the keys and values; ``projections`` is ``(wq, bq, wk, wv, bv, wo, bo)``, with
+    no key bias because it would shift a whole score row; ``norm`` is ``(gain,
+    bias, eps)``, and ``activation`` and the (B, heads, Tq, Tk) ``mask`` are
+    ``attention``'s. The role picks the path (module docstring): self-attention,
+    ``kv is x``, projects keys and values, and its values and gradients have the
+    bits of the chain ``linear``, split heads, ``attention``, merge, ``linear``,
+    ``+``, ``layer_norm`` without a key bias, whose sweep handed ``x`` its gradients
     from the residual, the queries, the keys and the values in that order;
     cross-attention folds keys and values into the queries and matches that
     chain to rounding. Returns the output and the per-head probabilities
     before the mask."""
-    wq, bq, wk, bk, wv, bv, wo, bo = projections
+    wq, bq, wk, wv, bv, wo, bo = projections
     gain, bias, eps = norm
     parents = (x, kv, *projections, gain, bias)
     d, t_q, t_k = x.shape[-1], x.shape[-2], kv.shape[-2]
@@ -901,8 +900,6 @@ def attention_sublayer(
             bo._accumulate(gs.sum(axis=0))
         gm = (gs @ wo.data.T).reshape(g.shape[:-1] + (heads, -1)).swapaxes(1, 2)
         del gs
-        if bk.requires_grad:
-            bk._accumulate(np.zeros_like(bk.data))
         if not fold:
             ds = gm @ v.swapaxes(-1, -2)
             v = None

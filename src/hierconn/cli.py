@@ -255,6 +255,8 @@ def _cmd_synth(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 < args.threshold < float("inf"):  # nan compares false too
+        raise DataError(f"--threshold must be finite and > 0, got {args.threshold}")
     report = run_gradcheck(seed=args.seed, threshold=args.threshold)
     for line in report.lines():
         print(line)

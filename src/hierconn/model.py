@@ -123,14 +123,15 @@ def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
 
     def linear_pair(prefix, w, b, shape):
         specs[f"{prefix}.{w}"] = (shape, "normal")
-        specs[f"{prefix}.{b}"] = (shape[-1:], "zeros")
+        if b:  # attention's keys have none: a key bias would shift a whole score row
+            specs[f"{prefix}.{b}"] = (shape[-1:], "zeros")
 
     def layer_norm_pair(prefix):
         specs[f"{prefix}.ln_g"] = ((d,), "ones")
         specs[f"{prefix}.ln_b"] = ((d,), "zeros")
 
     def attention_block(prefix):
-        for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
+        for w, b in (("wq", "bq"), ("wk", None), ("wv", "bv"), ("wo", "bo")):
             linear_pair(prefix, w, b, (d, d))
         layer_norm_pair(prefix)
 
@@ -234,8 +235,7 @@ def _attention(
 ) -> tuple[Tensor, np.ndarray]:
     """One attention sublayer (``attention_sublayer``); ``query_src`` is also the
     residual. Returns (normed output, per-head attention)."""
-    # (wq, bq, wk, bk, wv, bv, wo, bo)
-    projections = tuple(params[f"{prefix}.{w}{role}"] for role in "qkvo" for w in "wb")
+    projections = tuple(params[f"{prefix}.{w}"] for w in "wq bq wk wv bv wo bo".split())
     norm = params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], LN_EPS
     # probabilities broadcast over the batch axes of the queries and keys
     shape = np.broadcast_shapes(query_src.shape[:-2], kv_src.shape[:-2]) + (

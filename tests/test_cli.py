@@ -7,11 +7,12 @@ import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import hierconn.cli
 import hierconn.train
-from hierconn.checkpoint import save_checkpoint
+from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.cli import main
 from hierconn.config import CONFIG_KEYS, parse_config
 from hierconn.data import (
@@ -21,8 +22,8 @@ from hierconn.data import (
     load_dataset,
     save_dataset,
 )
-from hierconn.model import FORWARD_DTYPE, ModelConfig, init_params
-from hierconn.errors import InvalidSpec, InvalidValue, ParseError, UnknownKey
+from hierconn.model import FORWARD_DTYPE, ModelConfig, ModelParams, init_params
+from hierconn.errors import InvalidSpec, InvalidValue, ParseError, ShapeMismatch, UnknownKey
 
 
 SPEC = {
@@ -321,6 +322,36 @@ class TestInterpretCommand:
         assert err.startswith("data error: ") and err.count("\n") == 1  # one line, no traceback
         assert not out.exists()
 
+    def test_checkpoint_with_key_biases_is_refused(self, synth_spec_file, tmp_path, capsys):
+        # attention has no key bias; a checkpoint written while it still held one
+        # has an extra (d,) ``.bk`` tensor per attention block, so its layout
+        # differs from its config's
+        ds_out = tmp_path / "ds"
+        main(["synth", "--spec", str(synth_spec_file), "--out", str(ds_out)])
+        config = ModelConfig(n=SPEC["n"], d=8, heads=2, layers=1, k=3)
+        params = init_params(config, 0)
+        shapes = {name: params[name].shape for name in params.names()}
+        blocks = {name.rsplit(".", 1)[0] for name in shapes if name.endswith(".wk")}
+        assert len(blocks) == 2 * config.layers + 1
+        shapes.update({f"{block}.bk": (config.d,) for block in blocks})
+        old = ModelParams(shapes, np.zeros(params.flat.size + len(blocks) * config.d))
+        for name in params.names():
+            old[name].data[...] = params[name].data
+        path = save_checkpoint(tmp_path / "c.bin", config, old)
+        with pytest.raises(ShapeMismatch, match="differ from its config's layout"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        out = tmp_path / "interp"
+        code = main([
+            "interpret", "--checkpoint", str(path), "--data", str(ds_out / "manifest.json"),
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"data error: {path}: tensor names or shapes differ from its "
+                       "config's layout\n")
+        assert not out.exists()
+
     def test_loads_the_checkpoint_once_in_eval_dtype(self, synth_spec_file, tmp_path, monkeypatch):
         """``interpret`` holds no float64 weights: it loads them in ``FORWARD_DTYPE``
         through ``hierconn.cli.load_checkpoint``, the path first and positional
@@ -451,6 +482,14 @@ class TestGradcheckCommand:
         for name in init_params(TINY_CONFIG, 0).names():
             assert out.count(f"  {name}\n") == 1
         assert "PASS" in out
+
+    @pytest.mark.parametrize("threshold", ["inf", "nan", "0", "-1"])
+    def test_threshold_must_be_finite_and_positive(self, threshold, capsys, monkeypatch):
+        # refused before any work: an infinite threshold would pass any gradient
+        monkeypatch.setattr(hierconn.cli, "run_gradcheck", lambda **_: pytest.fail("swept"))
+        assert main(["gradcheck", "--threshold", threshold]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: --threshold must be finite and > 0, got {float(threshold)}\n"
 
 
 class TestExitCodes:

@@ -14,6 +14,7 @@ save the query side's gradients.
 """
 
 import contextlib
+import functools
 import tracemalloc
 
 import numpy as np
@@ -26,10 +27,8 @@ import hierconn.model
 from hierconn.autodiff import (
     Tensor, attention, attention_sublayer, dropout, ffn, layer_norm, linear, no_grad,
 )
-from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.losses import LossWeights, total_loss_graph
 from hierconn.model import LN_EPS, ModelConfig, forward_batch, init_params
-from hierconn.train import predict_scores
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 seeds = st.integers(0, 2**32 - 1)
@@ -76,10 +75,16 @@ def sublayer_ffn(x, w1, b1, w2, b2, mask=None, norm=None):
     return post_norm(x, ffn(x, w1, b1, w2, b2, mask), norm)
 
 
-def composite_attention_sublayer(x, kv, projections, norm, heads, activation, mask=None):
+def composite_attention_sublayer(x, kv, projections, norm, heads, activation, mask=None,
+                                 key_bias=True):
     """The 15-node chain: q/k/v ``linear`` and split-head views, ``attention``, the
-    merge, the output ``linear``, the residual add and ``layer_norm``."""
-    wq, bq, wk, bk, wv, bv, wo, bo = projections
+    merge, the output ``linear``, the residual add and ``layer_norm``. Its keys add a
+    nonzero constant key bias, which the fused op lacks: it shifts whole score
+    rows, so it may change no value or gradient. Without ``key_bias`` they add zeros,
+    which keeps the chain's bits."""
+    wq, bq, wk, wv, bv, wo, bo = projections
+    d = x.shape[-1]
+    bk = Tensor(np.linspace(-0.6, 0.9, d) if key_bias else np.zeros(d))
 
     def split(t):
         b, n, d = t.shape
@@ -222,15 +227,23 @@ def test_ffn_is_its_chain_bit_for_bit(tokens, rate):
                 assert_same_bits(got, grad)
 
 
+PROJECTIONS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")  # attention_sublayer's order
+
+
+def sublayer_shapes(d):
+    """The shapes of the projections, then of the norm's gain and bias."""
+    return [(d, d) if name[0] == "w" else (d,) for name in PROJECTIONS] + [(d,)] * 2
+
+
 def sublayer_inputs(tq, tk, shared, query_batch, rate, heads):
     """Query, key/value, projection and norm arrays of one attention sublayer and
-    its ``(keep, scale)`` dropout mask at ``rate``; the key bias is nonzero."""
+    its ``(keep, scale)`` dropout mask at ``rate``."""
     batch, d = 3, 8
     rng = np.random.default_rng([tq, tk, query_batch])
     kv = rng.normal(size=(batch, tk, d))
     x = kv if shared else rng.normal(size=(batch if query_batch else 1, tq, d))
-    weights = [rng.normal(size=(d, d)) * 0.5 if i % 2 == 0 else rng.normal(size=d) * 0.3
-               for i in range(8)]
+    weights = [rng.normal(size=(d, d)) * 0.5 if name[0] == "w" else rng.normal(size=d) * 0.3
+               for name in PROJECTIONS]
     weights += [1.0 + rng.normal(size=d) * 0.1, rng.normal(size=d) * 0.1]
     mask = None
     if rate:
@@ -242,12 +255,9 @@ def sublayer_call(sublayer, shared, heads, activation, mask):
     def call(*tensors):
         x, kv = (tensors[0],) * 2 if shared else tensors[:2]
         w = tensors[1:] if shared else tensors[2:]
-        return sublayer(x, kv, w[:8], (*w[8:], LN_EPS), heads, activation, mask)
+        return sublayer(x, kv, w[:7], (*w[7:], LN_EPS), heads, activation, mask)
 
     return call
-
-
-BK = 3  # the key bias's place among the projections
 
 
 def assert_relative(got, expect, rtol):
@@ -270,14 +280,11 @@ def test_attention_sublayer_is_its_chain_bit_for_bit(role, rate):
     heads = 2
     if role == "node":
         # self-attention (queries, keys and values from one tensor) projects keys
-        # and values: with a zero key bias it has the 15-node chain's bits; the key
-        # bias gets an exact zero where the chain's sum is rounding noise
+        # and values: it has the bits of the 15-node chain with zero key bias
         arrays, mask = sublayer_inputs(7, 7, True, True, rate, heads)
-        bk = 1 + BK
-        arrays[bk] = np.zeros_like(arrays[bk])
         call = sublayer_call(attention_sublayer, True, heads, "softmax", mask)
-        chain = run(sublayer_call(composite_attention_sublayer, True, heads, "softmax", mask),
-                    arrays, 7)
+        chain_op = functools.partial(composite_attention_sublayer, key_bias=False)
+        chain = run(sublayer_call(chain_op, True, heads, "softmax", mask), arrays, 7)
         query_side = []
     else:
         # cross-attention folds, so it matches the 15-node chain only to rounding
@@ -285,17 +292,15 @@ def test_attention_sublayer_is_its_chain_bit_for_bit(role, rate):
         # the chain that broadcasts them first, save the query side's gradients
         # (x, wq, bq, wk), which that chain sums over the batch in another order
         arrays, mask = sublayer_inputs(3, 6, False, False, rate, heads)
-        bk = 2 + BK
         call = sublayer_call(attention_sublayer, False, heads, "sparsemax", mask)
         chain = run(sublayer_call(broadcast_chain, False, heads, "sparsemax", mask), arrays, 7)
         query_side = [0, 2, 3, 4]
     fused = run(call, arrays, 7)
     if role != "node":  # the probabilities are sparse and not one-hot
         assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
-    assert np.all(fused[2][bk] == 0.0)
     for i in query_side:
         assert_relative(fused[2][i], chain[2][i], 1e-12)
-    for i in sorted(query_side + [bk], reverse=True):
+    for i in reversed(query_side):
         del fused[2][i], chain[2][i]
     for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
                            strict=True):
@@ -319,7 +324,7 @@ def test_attention_sublayer_is_its_chain_bit_for_bit(role, rate):
 def test_folded_attention_sublayer_matches_its_chain(tq, tk, query_batch, activation, rate):
     # cross-attention never projects keys and values of kv, whatever the shapes,
     # so the value and every gradient agree with the chain to rounding, and the
-    # nonzero key bias, which the chain adds to the scores, changes nothing
+    # chain's nonzero key bias changes nothing
     heads = 2
     arrays, mask = sublayer_inputs(tq, tk, False, query_batch, rate, heads)
     fused = run(sublayer_call(attention_sublayer, False, heads, activation, mask), arrays, 7)
@@ -327,10 +332,6 @@ def test_folded_attention_sublayer_matches_its_chain(tq, tk, query_batch, activa
                 arrays, 7)
     if activation == "sparsemax":
         assert 0 < np.count_nonzero(fused[1] == 0.0) < fused[1].size - fused[1][..., 0].size
-    bk = 2 + BK
-    assert np.all(fused[2][bk] == 0.0)
-    assert np.max(np.abs(chain[2][bk])) <= 1e-12 * np.max(np.abs(chain[2][bk - 1]))
-    del fused[2][bk], chain[2][bk]
     for got, expect in zip((fused[0], fused[1], *fused[2]), (chain[0], chain[1], *chain[2]),
                            strict=True):
         assert_relative(got, expect, 1e-12)
@@ -372,7 +373,7 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(batch, tokens, d)), requires_grad=True)
     weights = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
-               for s in [(d, d), (d,)] * 4 + [(d,), (d,)]]
+               for s in sublayer_shapes(d)]
     mask = rng.random((batch, heads, tokens, tokens)) >= 0.1, 1.0 / 0.9
     act, probs = batch * tokens * d * 8, batch * heads * tokens * tokens * 8
 
@@ -382,7 +383,7 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
             base = tracemalloc.get_traced_memory()[0]
             with contextlib.nullcontext() if build_graph else no_grad():
                 out, p = attention_sublayer(
-                    x, x, weights[:8], (*weights[8:], LN_EPS), heads, "softmax", mask
+                    x, x, weights[:7], (*weights[7:], LN_EPS), heads, "softmax", mask
                 )
             if not keep_probs:
                 del p
@@ -416,14 +417,14 @@ def test_attention_sublayer_keeps_only_what_its_backward_reads():
         x = Tensor(rng.normal(size=(batch, tq, d)), requires_grad=True)
         kv = Tensor(rng.normal(size=(batch, tk, d)), requires_grad=True)
         weights = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
-                   for s in [(d, d), (d,)] * 4 + [(d,), (d,)]]
+                   for s in sublayer_shapes(d)]
         mask = rng.random((batch, heads, tq, tk)) >= 0.1, 1.0 / 0.9
         g = np.ones((batch, tq, d))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             out, p = attention_sublayer(
-                x, kv, weights[:8], (*weights[8:], LN_EPS), heads, "sparsemax", mask
+                x, kv, weights[:7], (*weights[7:], LN_EPS), heads, "sparsemax", mask
             )
             del p
             held = tracemalloc.get_traced_memory()[0] - base
@@ -473,11 +474,13 @@ def training_step(config, monkeypatch, chains):
 
 
 def projecting_chain(x, kv, projections, norm, heads, activation, mask=None):
-    """The chain where the sublayer projects keys and values (self-attention, node
-    attention), the fused op where it folds them into the queries (pool and graph
-    attention)."""
-    sublayer = composite_attention_sublayer if kv is x else attention_sublayer
-    return sublayer(x, kv, projections, norm, heads, activation, mask)
+    """The chain with zero key bias where the sublayer projects keys and values
+    (self-attention, node attention), the fused op where it folds them into the
+    queries (pool and graph attention)."""
+    if kv is not x:
+        return attention_sublayer(x, kv, projections, norm, heads, activation, mask)
+    return composite_attention_sublayer(x, kv, projections, norm, heads, activation, mask,
+                                        key_bias=False)
 
 
 @pytest.mark.parametrize("rate, fewer_per_ffn", [(0.1, 3), (0.0, 2)])
@@ -489,55 +492,20 @@ def test_training_step_builds_fewer_nodes_and_the_same_bits(rate, fewer_per_ffn,
     # norm); the primitive chain of each FFN and the head adds linear, gelu,
     # (dropout,) linear
     fewer = 14 * sublayers + 2 * sublayers
-    key_biases = [name for name in grads if name.endswith(".bk")]
-    assert len(key_biases) == sublayers
-    for name in key_biases:
-        assert np.all(grads[name] == 0.0), name
     for ffn_chain, chain_fewer in ((sublayer_ffn, fewer),
                                    (composite_ffn, fewer + fewer_per_ffn * (sublayers + 1))):
-        # node attention and the FFNs have their chains' bits (the key biases start
-        # at zero); the chain's key-bias gradients are rounding noise
+        # node attention and the FFNs have their chains' bits
         chains = {"attention_sublayer": projecting_chain, "ffn": ffn_chain}
         _, chain_total, chain_grads = training_step(config, monkeypatch, chains)
         assert_same_bits(total, chain_total)
         for name, grad in grads.items():
-            if name not in key_biases:
-                assert_same_bits(grad, chain_grads[name])
+            assert_same_bits(grad, chain_grads[name])
         # pool and graph attention fold keys and values into the queries: every
-        # value within rounding of the whole chain
+        # value within rounding of the whole chain, which adds a nonzero key bias
         chains["attention_sublayer"] = composite_attention_sublayer
         chain_nodes, chain_total, chain_grads = training_step(config, monkeypatch, chains)
         assert (nodes, chain_nodes - nodes) == (80, chain_fewer)
         assert_relative(total, chain_total, 1e-12)
         for name, grad in grads.items():
-            if name not in key_biases:
-                assert_relative(grad, chain_grads[name], 1e-12)
+            assert_relative(grad, chain_grads[name], 1e-12)
 
-
-def test_nonzero_key_biases_of_an_old_checkpoint_change_no_score(tmp_path, monkeypatch):
-    # checkpoints written while the scores still added the key bias hold nonzero
-    # bk; it shifted each score row by a constant, which neither activation sees,
-    # so the chain that adds it, the model reading the file and the same weights
-    # with bk zeroed all score alike
-    config = ModelConfig(n=10, d=16, heads=2, layers=2, k=3)
-    params = init_params(config, 3)
-    rng = np.random.default_rng(8)
-    key_biases = [name for name in params.names() if name.endswith(".bk")]
-    for name in key_biases:
-        params[name].data[...] = rng.normal(size=config.d)
-    _, params, _ = load_checkpoint(save_checkpoint(tmp_path / "c.bin", config, params))
-    matrices = rng.uniform(-1.0, 1.0, size=(5, config.n, config.n))
-
-    def logits():
-        with no_grad():
-            return forward_batch(matrices, params, config).z_g.data
-
-    with monkeypatch.context() as m:
-        m.setattr(hierconn.model, "attention_sublayer", composite_attention_sublayer)
-        with_bias = logits()
-    np.testing.assert_allclose(logits(), with_bias, rtol=1e-12, atol=1e-12)
-    scores = predict_scores(matrices, params, config)
-    for name in key_biases:
-        params[name].data[...] = 0.0
-    np.testing.assert_allclose(logits(), with_bias, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(predict_scores(matrices, params, config), scores, rtol=1e-6)

@@ -51,7 +51,6 @@ class TestFaultInjection:
             "layers.0.pool_attn.wq",
             "layers.0.pool_attn.bq",
             "layers.0.pool_attn.wk",
-            "layers.0.pool_attn.bk",
         )
         for name in failing:
             assert name.startswith(upstream_prefixes), f"unexpected failure in {name}"

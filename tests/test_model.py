@@ -71,12 +71,14 @@ def layer_norm_oracle(x, gain, bias):
 def attention_oracle(query, kv, residual, p, prefix, heads, activation="softmax", mask=None):
     """Dense single-batch attention computed with plain loops.
 
-    ``mask``: optional (heads, queries, keys) inverted-dropout multipliers.
+    ``mask``: optional (heads, queries, keys) inverted-dropout multipliers. The keys
+    add a nonzero constant key bias, which the model lacks: it shifts whole
+    score rows, so it may change no value.
     """
     d = query.shape[-1]
     d_h = d // heads
     q = query @ p[f"{prefix}.wq"].data + p[f"{prefix}.bq"].data
-    k = kv @ p[f"{prefix}.wk"].data + p[f"{prefix}.bk"].data
+    k = kv @ p[f"{prefix}.wk"].data + np.linspace(-0.6, 0.9, d)
     v = kv @ p[f"{prefix}.wv"].data + p[f"{prefix}.bv"].data
     outs = []
     for h in range(heads):
@@ -192,7 +194,6 @@ class TestNodeToSubgraph:
         params.tensors["layers.0.pool_attn.wq"].data = np.eye(4)
         params.tensors["layers.0.pool_attn.bq"].data[:] = 0
         params.tensors["layers.0.pool_attn.wk"].data = np.eye(4)
-        params.tensors["layers.0.pool_attn.bk"].data[:] = 0
         params.tensors["subgraph_tokens"].data = np.zeros((1, 2, 4))
         params.tensors["subgraph_tokens"].data[0, 0, 0] = 4.0  # query along e1
         x_n = np.zeros((1, 4, 4))

@@ -22,7 +22,9 @@ from hierconn.checkpoint import load_checkpoint, save_checkpoint
 from hierconn.data import SyntheticSpec, generate_synthetic, stack_records
 from hierconn.interpret import cohort_traces
 from hierconn.losses import LossWeights, total_loss_graph
-from hierconn.model import FORWARD_DTYPE, ModelConfig, ModelParams, forward_batch, init_params
+from hierconn.model import (
+    FORWARD_DTYPE, ModelConfig, ModelParams, forward_batch, init_params, param_specs,
+)
 from hierconn.sparsemax import sparsemax_rows, sparsemax_rows_backward
 from hierconn.train import predict_scores
 
@@ -127,7 +129,7 @@ def test_float32_training_step_backpropagates_in_float32():
     assert total.data.dtype == np.float32
     total.backward()
     promoted = [name for name in params.names() if params[name].grad.dtype != np.float32]
-    assert len(params.names()) == 90 and promoted == []
+    assert len(params.names()) == len(param_specs(config)) and promoted == []
 
 
 def test_eval_copy_is_constant_and_leaves_the_master_untouched():
